@@ -900,4 +900,74 @@ mod tests {
         let p3 = amplified.run(&program).purity();
         assert!(p3 < p1, "amplified noise must lower purity: {p3} vs {p1}");
     }
+
+    /// The exact walk through the two-pass reference kernels: the same
+    /// schedule, with every gate, unitary and channel sent to
+    /// `DensityMatrix`'s `*_reference` kernels instead of the block
+    /// kernel.
+    struct ReferenceSink(DensityMatrix);
+
+    impl ScheduleSink for ReferenceSink {
+        fn gate(&mut self, gate: &Gate, qubits: &[usize]) -> Option<()> {
+            self.0.apply_gate_reference(gate, qubits)
+        }
+
+        fn unitary(&mut self, matrix: &Matrix, targets: &[usize]) {
+            self.0.apply_unitary_reference(matrix, targets);
+        }
+
+        fn channel(&mut self, channel: hgp_noise::NoiseChannel, targets: &[usize]) {
+            self.0
+                .apply_kraus_reference(&channel.kraus_operators(), targets);
+        }
+    }
+
+    /// `Executor::run` must be value-exact against the reference walk
+    /// (`==` everywhere, equal bits on every nonzero component) and
+    /// sample identical counts.
+    fn assert_run_matches_reference_walk(exec: &Executor<'_>, program: &Program) {
+        let rho = exec.run(program);
+        let mut sink = ReferenceSink(DensityMatrix::zero_state(program.n_qubits()));
+        exec.walk_with_sink(program, &mut sink);
+        let reference = sink.0;
+        for i in 0..rho.dim() {
+            for j in 0..rho.dim() {
+                let (a, b) = (rho.get(i, j), reference.get(i, j));
+                assert!(a == b, "rho[{i},{j}] = {a:?} vs reference {b:?}");
+                for (x, y) in [(a.re, b.re), (a.im, b.im)] {
+                    assert!(
+                        x == 0.0 || x.to_bits() == y.to_bits(),
+                        "rho[{i},{j}]: {x:e} vs {y:e}"
+                    );
+                }
+            }
+        }
+        for seed in [3, 1000] {
+            assert_eq!(
+                exec.sample_state(&rho, 1024, seed),
+                exec.sample_state(&reference, 1024, seed)
+            );
+        }
+    }
+
+    #[test]
+    fn run_matches_the_reference_kernel_walk() {
+        use crate::models::{GateModel, GateModelOptions, HybridModel, VqaModel};
+        let backend = Backend::ibmq_toronto();
+        let graph = hgp_graph::instances::task1_three_regular_6();
+        let region = vec![1, 2, 3, 4, 5, 7];
+        // The task-1 hybrid probe the paper's training evaluates, with
+        // trimmed pulse parameters.
+        let hybrid = HybridModel::new(&backend, &graph, 1, region.clone()).unwrap();
+        let mut params = hybrid.initial_params();
+        for (i, p) in params.iter_mut().enumerate() {
+            *p += 0.05 * (i as f64 + 1.0);
+        }
+        let exec = Executor::new(hybrid.backend(), hybrid.layout().to_vec());
+        assert_run_matches_reference_walk(&exec, &hybrid.build(&params));
+        // A gate-model QAOA program on the same region.
+        let gate = GateModel::new(&backend, &graph, 2, region, GateModelOptions::raw()).unwrap();
+        let exec = Executor::new(gate.backend(), gate.layout().to_vec());
+        assert_run_matches_reference_walk(&exec, &gate.build(&[0.35, 0.25, -0.8, 1.1]));
+    }
 }

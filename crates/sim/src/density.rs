@@ -3,9 +3,20 @@
 //! The machine-in-loop training runs of the hybrid gate-pulse model evolve
 //! a density matrix so that Kraus noise channels (amplitude damping,
 //! dephasing, depolarizing) can act after every instruction. Operators are
-//! applied with `O(4^n)`-per-gate kernels: a unitary `U` on targets `t`
-//! maps `rho -> U rho U†`, implemented as a column pass (left
-//! multiplication) followed by a row pass (right multiplication by `U†`).
+//! applied with `O(4^n)`-per-gate kernels. Diagonal gates scale entries in
+//! place. Every other operator set — a unitary `U` (`rho -> U rho U†`) or
+//! a Kraus channel (`rho -> sum_k K_k rho K_k†`) on `k` targets — goes
+//! through one block kernel: for each (row base, column base) pair it
+//! loads the `2^k × 2^k` block of `rho` those targets span, forms
+//! `K·B·K†` per operator with the exact-zero operator entries skipped,
+//! sums the operators in order, and stores the block back.
+//!
+//! [`DensityMatrix::apply_unitary_reference`] and
+//! [`DensityMatrix::apply_kraus_reference`] keep the dense two-pass form
+//! — a full column pass (left multiplication) followed by a full row pass
+//! (right multiplication by `U†`), per Kraus operator on a clone of
+//! `rho` — as the parity oracles of the contract on
+//! [`DensityMatrix::apply_kraus`].
 
 use rand::Rng;
 
@@ -130,14 +141,24 @@ impl DensityMatrix {
     }
 
     /// Applies a unitary `op` (dimension `2^k`) to target qubits:
-    /// `rho -> U rho U†`.
+    /// `rho -> U rho U†`, through the block kernel (see
+    /// [`DensityMatrix::apply_kraus`] for its parity contract).
     ///
     /// `targets[0]` is the most-significant bit of the operator's index.
     ///
     /// # Panics
     ///
-    /// Panics on dimension mismatch or bad targets.
+    /// Panics on dimension mismatch or bad targets (out of range or
+    /// repeated).
     pub fn apply_unitary(&mut self, op: &Matrix, targets: &[usize]) {
+        self.conjugate_blocks(std::slice::from_ref(op), targets);
+    }
+
+    /// [`DensityMatrix::apply_unitary`] through the two-pass reference
+    /// kernels (a full column pass, then a full row pass, every
+    /// operator entry in every chain). Kept as the parity oracle for
+    /// the block kernel.
+    pub fn apply_unitary_reference(&mut self, op: &Matrix, targets: &[usize]) {
         self.apply_left(op, targets);
         self.apply_right_dagger(op, targets);
     }
@@ -161,6 +182,22 @@ impl DensityMatrix {
     ///
     /// Returns `None` if the gate has unbound parameters.
     pub fn apply_gate(&mut self, gate: &Gate, qubits: &[usize]) -> Option<()> {
+        self.apply_gate_with(gate, qubits, Self::apply_unitary)
+    }
+
+    /// [`DensityMatrix::apply_gate`] with its dense branch on
+    /// [`DensityMatrix::apply_unitary_reference`] — the same diagonal
+    /// fast path, the two-pass reference kernels otherwise.
+    pub fn apply_gate_reference(&mut self, gate: &Gate, qubits: &[usize]) -> Option<()> {
+        self.apply_gate_with(gate, qubits, Self::apply_unitary_reference)
+    }
+
+    fn apply_gate_with(
+        &mut self,
+        gate: &Gate,
+        qubits: &[usize],
+        dense: fn(&mut Self, &Matrix, &[usize]),
+    ) -> Option<()> {
         let diag: Option<Vec<Complex64>> = match qubits.len() {
             1 => kernels::diagonal_1q(gate).map(|d| d.to_vec()),
             2 => kernels::diagonal_2q(gate).map(|d| d.to_vec()),
@@ -171,8 +208,18 @@ impl DensityMatrix {
             return Some(());
         }
         let m = gate.matrix()?;
-        self.apply_unitary(&m, qubits);
+        dense(self, &m, qubits);
         Some(())
+    }
+
+    /// Panics unless every target is in range and no target repeats
+    /// (a repeated target would alias two operator index bits onto one
+    /// state bit).
+    fn check_targets(&self, targets: &[usize]) {
+        for (i, &t) in targets.iter().enumerate() {
+            assert!(t < self.n_qubits, "target out of range");
+            assert!(!targets[..i].contains(&t), "targets must differ");
+        }
     }
 
     /// Applies a diagonal unitary given by its `2^k` diagonal entries on
@@ -180,10 +227,7 @@ impl DensityMatrix {
     /// `rho[i][j] *= d(i) conj(d(j))`.
     fn apply_diagonal_unitary(&mut self, targets: &[usize], d: &[Complex64]) {
         assert_eq!(d.len(), 1 << targets.len(), "diagonal length mismatch");
-        for (i, &t) in targets.iter().enumerate() {
-            assert!(t < self.n_qubits, "target out of range");
-            assert!(!targets[..i].contains(&t), "targets must differ");
-        }
+        self.check_targets(targets);
         let dim = self.dim;
         let factors: Vec<Complex64> = (0..dim)
             .map(|i| kernels::diag_factor(i, targets, d))
@@ -197,40 +241,44 @@ impl DensityMatrix {
     }
 
     /// Applies a quantum channel given by Kraus operators on `targets`:
-    /// `rho -> sum_k K_k rho K_k†`.
+    /// `rho -> sum_k K_k rho K_k†`, through the block kernel: for each
+    /// (row base, column base) pair it loads the `2^k × 2^k` block `B`,
+    /// forms `K·B` then `(K·B)·K†` per operator, sums the operators'
+    /// terms in Kraus order, and stores the block back — no clone of
+    /// `rho`, no full-matrix accumulator.
+    ///
+    /// # Parity contract
+    ///
+    /// Against [`DensityMatrix::apply_kraus_reference`] (and
+    /// [`DensityMatrix::apply_unitary_reference`] for one operator) the
+    /// kernel is value-exact on finite states: every entry is computed
+    /// by the same `mul_add` chain in the same term order from the same
+    /// `ZERO` start, and the operator terms are summed in the same
+    /// order. The only difference is that terms whose operator entry is
+    /// exactly `0` are skipped; such a term adds `±0`, so skipping it
+    /// can change at most the sign of an exact zero. Every entry
+    /// compares `==` and every nonzero real or imaginary part is
+    /// bit-identical (pinned by
+    /// `crates/sim/tests/density_kernel_parity.rs`). A single operator
+    /// is written in place rather than added onto `0`, which likewise
+    /// only normalizes the sign of zero.
     ///
     /// # Panics
     ///
-    /// Panics if `kraus` is empty or operator dimensions mismatch.
+    /// Panics if `kraus` is empty, operator dimensions mismatch, or a
+    /// target is out of range or repeated.
     pub fn apply_kraus(&mut self, kraus: &[Matrix], targets: &[usize]) {
         assert!(
             !kraus.is_empty(),
             "channel needs at least one Kraus operator"
         );
-        if let [k] = kraus {
-            // Single-Kraus (unitary-like) channel: the sum has one term,
-            // so apply it in place — no clone, no accumulator.
-            self.apply_left(k, targets);
-            self.apply_right_dagger(k, targets);
-            return;
-        }
-        let mut acc = vec![Complex64::ZERO; self.data.len()];
-        let original = self.data.clone();
-        for k in kraus {
-            self.data.copy_from_slice(&original);
-            self.apply_left(k, targets);
-            self.apply_right_dagger(k, targets);
-            for (a, &d) in acc.iter_mut().zip(self.data.iter()) {
-                *a += d;
-            }
-        }
-        self.data = acc;
+        self.conjugate_blocks(kraus, targets);
     }
 
-    /// [`DensityMatrix::apply_kraus`] without the single-Kraus fast
-    /// path: clone + per-operator accumulate unconditionally. Kept as
-    /// the parity reference (the fast path must agree exactly, modulo
-    /// the sign of zero the `0 + z` accumulation normalizes).
+    /// [`DensityMatrix::apply_kraus`] through the two-pass reference
+    /// kernels: clone `rho` per operator, apply the full column and row
+    /// passes, and accumulate over the whole matrix. Kept as the parity
+    /// oracle for the block kernel.
     pub fn apply_kraus_reference(&mut self, kraus: &[Matrix], targets: &[usize]) {
         assert!(
             !kraus.is_empty(),
@@ -249,17 +297,56 @@ impl DensityMatrix {
         self.data = acc;
     }
 
-    /// Left multiplication `rho -> (U embedded) rho`, column by column.
+    /// The block kernel: `rho -> sum_k K_k rho K_k†` over every
+    /// (row base, column base) block, one operator set per call.
+    fn conjugate_blocks(&mut self, kraus: &[Matrix], targets: &[usize]) {
+        self.check_targets(targets);
+        let k = targets.len();
+        let block = 1usize << k;
+        // `offs[r]` = the index bits operator row `r` contributes
+        // (`targets[0]` = most-significant bit of `r`).
+        let offs: Vec<usize> = (0..block)
+            .map(|r| {
+                targets
+                    .iter()
+                    .enumerate()
+                    .filter(|&(pos, _)| (r >> (k - 1 - pos)) & 1 == 1)
+                    .fold(0, |off, (_, &t)| off | 1 << t)
+            })
+            .collect();
+        let all_mask = offs[block - 1];
+        let bases: Vec<usize> = (0..self.dim).filter(|b| b & all_mask == 0).collect();
+        let rows = KrausRows::new(kraus, block);
+        let (data, dim) = (&mut self.data, self.dim);
+        // Stack blocks with compile-time extents for one and two
+        // targets (about 2.5x faster than the runtime-sized loop on the
+        // 6q walk's channels); heap scratch otherwise.
+        match block {
+            2 => {
+                let offs = [offs[0], offs[1]];
+                sweep_blocks::<2>(data, dim, &rows, &offs, &bases, &mut [Complex64::ZERO; 14]);
+            }
+            4 => {
+                let offs = [offs[0], offs[1], offs[2], offs[3]];
+                sweep_blocks::<4>(data, dim, &rows, &offs, &bases, &mut [Complex64::ZERO; 52]);
+            }
+            _ => {
+                let mut scratch = vec![Complex64::ZERO; 3 * block * block + block];
+                sweep_blocks::<0>(data, dim, &rows, &offs, &bases, &mut scratch);
+            }
+        }
+    }
+
+    /// Reference left multiplication `rho -> (U embedded) rho`, column
+    /// by column.
     fn apply_left(&mut self, op: &Matrix, targets: &[usize]) {
         let k = targets.len();
         assert_eq!(op.rows(), 1 << k, "operator dimension mismatch");
+        self.check_targets(targets);
         let masks: Vec<usize> = targets.iter().map(|&t| 1usize << t).collect();
-        for &t in targets {
-            assert!(t < self.n_qubits, "target out of range");
-        }
         let dim = self.dim;
         let block = 1usize << k;
-        let all_mask: usize = masks.iter().sum();
+        let all_mask: usize = masks.iter().fold(0, |a, &m| a | m);
         let mut rows_idx = vec![0usize; block];
         let mut vin = vec![Complex64::ZERO; block];
         for base in 0..dim {
@@ -293,14 +380,16 @@ impl DensityMatrix {
         }
     }
 
-    /// Right multiplication `rho -> rho (U embedded)†`, row by row.
+    /// Reference right multiplication `rho -> rho (U embedded)†`, row
+    /// by row.
     fn apply_right_dagger(&mut self, op: &Matrix, targets: &[usize]) {
         let k = targets.len();
         assert_eq!(op.rows(), 1 << k, "operator dimension mismatch");
+        self.check_targets(targets);
         let masks: Vec<usize> = targets.iter().map(|&t| 1usize << t).collect();
         let dim = self.dim;
         let block = 1usize << k;
-        let all_mask: usize = masks.iter().sum();
+        let all_mask: usize = masks.iter().fold(0, |a, &m| a | m);
         let mut cols_idx = vec![0usize; block];
         let mut vin = vec![Complex64::ZERO; block];
         for base in 0..dim {
@@ -497,6 +586,146 @@ impl DensityMatrix {
             .filter(|&&l| l > 1e-12)
             .map(|&l| l * l.ln())
             .sum::<f64>()
+    }
+}
+
+/// One nonzero entry `K[r][c]` of a Kraus operator row, with its
+/// conjugate for the `·K†` pass.
+#[derive(Debug, Clone, Copy)]
+struct Term {
+    col: usize,
+    coef: Complex64,
+    conj: Complex64,
+}
+
+/// The per-call sparse form of a Kraus set: for every operator and row
+/// `r`, the entries with `K[r][c] != 0` in increasing `c` — the term
+/// order of the dense chains, minus the exact zeros.
+struct KrausRows {
+    block: usize,
+    /// Terms of row `r` of operator `op`:
+    /// `terms[starts[op * block + r]..starts[op * block + r + 1]]`.
+    starts: Vec<usize>,
+    terms: Vec<Term>,
+}
+
+impl KrausRows {
+    fn new(kraus: &[Matrix], block: usize) -> Self {
+        let mut starts = Vec::with_capacity(kraus.len() * block + 1);
+        let mut terms = Vec::new();
+        starts.push(0);
+        for k in kraus {
+            assert!(
+                k.rows() == block && k.cols() == block,
+                "operator dimension mismatch"
+            );
+            for r in 0..block {
+                for c in 0..block {
+                    let coef = k[(r, c)];
+                    if coef.re != 0.0 || coef.im != 0.0 {
+                        terms.push(Term {
+                            col: c,
+                            coef,
+                            conj: coef.conj(),
+                        });
+                    }
+                }
+                starts.push(terms.len());
+            }
+        }
+        Self {
+            block,
+            starts,
+            terms,
+        }
+    }
+
+    fn n_ops(&self) -> usize {
+        (self.starts.len() - 1) / self.block
+    }
+
+    #[inline]
+    fn row(&self, op: usize, r: usize) -> &[Term] {
+        let at = op * self.block + r;
+        &self.terms[self.starts[at]..self.starts[at + 1]]
+    }
+}
+
+/// Replaces every block `B` of `data` at (row base, column base) pairs
+/// from `bases` with `sum_k K_k B K_k†`. `scratch` holds three
+/// `block²` buffers — the loaded block, `K·B`, the accumulator — and
+/// one `block`-long output column. `N` is the block size when known at
+/// compile time (`0` otherwise).
+#[inline(always)]
+fn sweep_blocks<const N: usize>(
+    data: &mut [Complex64],
+    dim: usize,
+    rows: &KrausRows,
+    offs: &[usize],
+    bases: &[usize],
+    scratch: &mut [Complex64],
+) {
+    let block = if N == 0 { offs.len() } else { N };
+    let size = block * block;
+    let (b, rest) = scratch.split_at_mut(size);
+    let (l, rest) = rest.split_at_mut(size);
+    let (acc, col) = rest.split_at_mut(size);
+    let n_ops = rows.n_ops();
+    for &bi in bases {
+        for &bj in bases {
+            for (r, &ro) in offs.iter().enumerate() {
+                let row = &data[(bi + ro) * dim + bj..];
+                for (c, &co) in offs.iter().enumerate() {
+                    b[r * block + c] = row[co];
+                }
+            }
+            for op in 0..n_ops {
+                // L = K·B row by row: L[r][..] = sum_c K[r][c] B[c][..].
+                for (r, lrow) in l.chunks_exact_mut(block).enumerate() {
+                    lrow.fill(Complex64::ZERO);
+                    for t in rows.row(op, r) {
+                        let brow = &b[t.col * block..][..block];
+                        for (s, &v) in lrow.iter_mut().zip(brow) {
+                            // hgp-analysis: allow(d4) -- the reference column-pass
+                            // chain minus exact-zero terms; pinned value-exact by
+                            // density_kernel_parity.
+                            *s = t.coef.mul_add(v, *s);
+                        }
+                    }
+                }
+                // L·K† column by column: out[..][c'] = sum_c conj(K[c'][c]) L[..][c].
+                for cp in 0..block {
+                    col.fill(Complex64::ZERO);
+                    for t in rows.row(op, cp) {
+                        for (r, s) in col.iter_mut().enumerate() {
+                            // hgp-analysis: allow(d4) -- the reference row-pass
+                            // chain minus exact-zero terms; pinned value-exact by
+                            // density_kernel_parity.
+                            *s = t.conj.mul_add(l[r * block + t.col], *s);
+                        }
+                    }
+                    // Operators add in Kraus order onto a `ZERO` start, as
+                    // the reference's full-matrix accumulator does; a lone
+                    // operator is stored as is.
+                    for (r, &s) in col.iter().enumerate() {
+                        let out = &mut acc[r * block + cp];
+                        if n_ops == 1 {
+                            *out = s;
+                        } else if op == 0 {
+                            *out = Complex64::ZERO + s;
+                        } else {
+                            *out += s;
+                        }
+                    }
+                }
+            }
+            for (r, &ro) in offs.iter().enumerate() {
+                let row = &mut data[(bi + ro) * dim + bj..];
+                for (c, &co) in offs.iter().enumerate() {
+                    row[co] = acc[r * block + c];
+                }
+            }
+        }
     }
 }
 
@@ -719,6 +948,27 @@ mod tests {
         ];
         rho.apply_kraus(&kraus, &[1]);
         rho
+    }
+
+    #[test]
+    #[should_panic(expected = "targets must differ")]
+    fn block_kernel_rejects_repeated_targets() {
+        // A repeated target would alias two operator bits onto one qubit.
+        let mut rho = DensityMatrix::zero_state(3);
+        rho.apply_unitary(&Gate::CX.matrix().unwrap(), &[1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "targets must differ")]
+    fn block_kernel_rejects_repeated_channel_targets() {
+        let z = hgp_math::pauli::sigma_z();
+        let zz = z.kron(&z);
+        let kraus = vec![
+            Matrix::identity(4).scale(c64((0.9f64).sqrt(), 0.0)),
+            zz.scale(c64((0.1f64).sqrt(), 0.0)),
+        ];
+        let mut rho = DensityMatrix::plus_state(3);
+        rho.apply_kraus(&kraus, &[2, 2]);
     }
 
     #[test]

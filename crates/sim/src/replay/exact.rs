@@ -4,9 +4,9 @@
 //! a [`DensityMatrix`], which is what `Executor::run` drives) is the last
 //! execution path that pays interpretation costs per dispatch: every run
 //! re-derives each gate's matrix and diagonal, and every noise channel
-//! goes through the generic Kraus embedding —
-//! [`DensityMatrix::apply_kraus`] clones the full `rho` and performs two
-//! embedded multiplies per Kraus operator, every time it fires.
+//! rebuilds its Kraus set and goes through the generic block kernel —
+//! [`DensityMatrix::apply_kraus`] forms `K·B·K†` for every Kraus
+//! operator on every `2^k × 2^k` block of `rho`, every time it fires.
 //!
 //! [`ExactReplayProgram`] compiles the recording once into a flat
 //! superoperator tape, mirroring what [`super::ReplayProgram`] does for
@@ -42,13 +42,16 @@
 //! [`crate::TrajectoryProgram::apply_exact`] over the recorded program.
 //! Against that reference the tape is
 //!
-//! - **bit-identical** wherever the arithmetic order is preserved:
-//!   fused diagonal runs (same per-entry multiply sequence), dense
-//!   gates/unitaries (the left-pass and right-pass block updates touch
-//!   disjoint entries, so fusing them per aligned row chunk only
-//!   reorders independent writes), and single-Kraus channels (the
-//!   in-place fast path is the same two embedded multiplies without the
-//!   redundant clone/accumulate),
+//! - **bit-identical** on fused diagonal runs (same per-entry multiply
+//!   sequence),
+//! - **value-exact** on dense gates/unitaries and single-Kraus
+//!   channels: the tape runs the two-pass reference arithmetic of
+//!   [`DensityMatrix::apply_unitary_reference`] bit for bit (the
+//!   left-pass and right-pass block updates touch disjoint entries, so
+//!   fusing them per aligned row chunk only reorders independent
+//!   writes), while the walk's block kernel skips exact-zero operator
+//!   entries — every entry compares `==`, and only the sign of an
+//!   exact zero may differ,
 //! - **≤ 1e-12 elementwise** for resolved multi-Kraus channels, where
 //!   summing over Kraus terms per entry (instead of per full-matrix
 //!   sweep) reassociates the additions,
@@ -114,8 +117,8 @@ fn chunk_height(align_rows: usize) -> usize {
 }
 
 /// A dense operator with its embedding resolved at compile time:
-/// matrix, target bit mask, and the `2^k` block row offsets that
-/// `DensityMatrix::apply_left`/`apply_right_dagger` re-derive per call.
+/// matrix, target bit mask, and the `2^k` block row offsets that the
+/// density kernels re-derive per call.
 #[derive(Debug, Clone)]
 struct DenseOp {
     /// The resolved operator (`2^k` square). Behind an [`Arc`] so
@@ -136,8 +139,11 @@ impl DenseOp {
     fn new(matrix: Arc<Matrix>, targets: &[usize]) -> Self {
         let k = targets.len();
         assert_eq!(matrix.rows(), 1 << k, "operator dimension mismatch");
+        for (i, &t) in targets.iter().enumerate() {
+            assert!(!targets[..i].contains(&t), "targets must differ");
+        }
         let masks: Vec<usize> = targets.iter().map(|&t| 1usize << t).collect();
-        let all_mask: usize = masks.iter().sum();
+        let all_mask: usize = masks.iter().fold(0, |a, &m| a | m);
         let offs: Vec<usize> = (0..1usize << k)
             .map(|r| {
                 let mut off = 0usize;
@@ -160,11 +166,13 @@ impl DenseOp {
 
     /// `rho -> M rho M†` over row-major `data`.
     ///
-    /// Bit-identical to `apply_left` followed by `apply_right_dagger`:
-    /// the left pass's (base, col) block updates and the right pass's
-    /// row-local updates touch disjoint entry sets, so sweeping aligned
-    /// row chunks (left then right per chunk) only reorders independent
-    /// writes — for any chunking and any worker count.
+    /// Bit-identical to [`DensityMatrix::apply_unitary_reference`] (a
+    /// full left pass, then a full right pass, every matrix entry in
+    /// every chain): the left pass's (base, col) block updates and the
+    /// right pass's row-local updates touch disjoint entry sets, so
+    /// sweeping aligned row chunks (left then right per chunk) only
+    /// reorders independent writes — for any chunking and any worker
+    /// count.
     fn conjugate(&self, data: &mut [Complex64], dim: usize) {
         let height = chunk_height(self.align_rows);
         if fan_out(data.len()) && dim > height {
@@ -872,6 +880,13 @@ mod tests {
     use hgp_circuit::{Gate, Param};
     use hgp_math::c64;
     use hgp_math::pauli::{sigma_x, sigma_y, sigma_z};
+
+    #[test]
+    #[should_panic(expected = "targets must differ")]
+    fn dense_op_rejects_repeated_targets() {
+        // A repeated target would alias two operator bits onto one qubit.
+        DenseOp::new(Arc::new(Gate::CX.matrix().unwrap()), &[1, 1]);
+    }
 
     fn depolarizing_op(p: f64) -> ChannelOp {
         let kraus = vec![

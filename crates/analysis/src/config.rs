@@ -94,11 +94,7 @@ impl Default for Config {
                 "crates/sim/src/replay.rs",
                 "crates/sim/src/replay/",
             ]),
-            spawn_allowed: s(&[
-                "crates/serve/src/daemon.rs",
-                "crates/serve/src/service.rs",
-                "crates/serve/src/wire.rs",
-            ]),
+            spawn_allowed: s(&["crates/serve/src/daemon.rs", "crates/serve/src/wire.rs"]),
             dispatch_macros: s(&["kernel"]),
         }
     }

@@ -7,7 +7,7 @@
 //! by every parameter binding of that shape. Circuit and hybrid
 //! gate-pulse artifacts share one LRU budget — a serving host trades
 //! them off against each other like any other shapes. Entries hold
-//! [`Arc`]s so in-flight batches keep their program alive even if the
+//! [`Arc`]s so in-flight jobs keep their program alive even if the
 //! entry is evicted mid-run.
 
 use std::collections::BTreeMap;

@@ -2,13 +2,13 @@
 //! bounded, priority-classed submission queue with streaming result
 //! delivery.
 //!
-//! [`crate::Service::run_batch`] is the synchronous shape of the serving
-//! layer: submit N jobs, block, collect. The [`Daemon`] is the
-//! production shape the rest of the stack was built for — a service many
-//! tenants share, that a training loop can *pipeline* against: clients
+//! The [`Daemon`] is the one serving path: a service many tenants share,
+//! that a training loop can *pipeline* against. Clients
 //! [`Daemon::submit`] individual jobs or [`Daemon::submit_group`] job
 //! groups and receive results **as they complete** over an mpsc-backed
 //! [`ResultStream`], while the next submission is already queued.
+//! [`Daemon::run_batch`] is the blocking shape on top: submit N jobs,
+//! wait, collect in submission order.
 //!
 //! # Lifecycle of a submission
 //!
@@ -23,8 +23,9 @@
 //!    perturb the seeds of jobs that were admitted.
 //! 2. **Admission** — each job of an accepted group takes the next
 //!    [`JobId`] and its position-derived seed
-//!    ([`hgp_sim::seed::stream_seed`]), exactly as `run_batch` does.
-//!    Requests that fail validation still consume their position and are
+//!    ([`hgp_sim::seed::stream_seed`]) unless the request pinned one, so
+//!    seeds are a pure function of admission order, never of worker
+//!    scheduling. Requests that fail validation still consume their position and are
 //!    answered through the stream with a validate-stage
 //!    [`crate::JobError`]; valid jobs enter their priority class's FIFO.
 //! 3. **Scheduling** — persistent workers take the oldest job of the
@@ -34,11 +35,16 @@
 //!    `(compiled shape, params, seed)` — all fixed at admission — **any
 //!    worker count, arrival order, or priority interleaving yields
 //!    results bit-identical to the sequential reference** (pinned by the
-//!    `daemon_serving` proptests against [`crate::Service::run_batch`]).
+//!    `daemon_serving` proptests against a single-worker daemon fed the
+//!    whole request list as one group).
 //! 4. **Execution** — workers share one structural-key LRU
-//!    [`crate::ProgramCache`] and the batch path's worker core
-//!    (`execute_job`): compile once per shape, bind per dispatch,
-//!    trajectory kinds ride the replay template. The `catch_unwind`
+//!    [`crate::ProgramCache`] and the worker core in [`crate::service`]
+//!    (`execute_job`): bind per dispatch, trajectory kinds ride the
+//!    replay template. Compilation is **single-flight per shape**:
+//!    workers that miss on a key another worker is compiling wait for
+//!    that compile and take its outcome (a cache hit, or the same
+//!    compile-stage error), so each shape compiles once however many
+//!    workers pop its jobs cold. The `catch_unwind`
 //!    panic boundary means a poisoned job fails alone with a typed
 //!    error; a client that dropped its [`ResultStream`] merely discards
 //!    that job's result — the worker moves on either way.
@@ -51,9 +57,9 @@
 //!
 //! The TCP front end over this API lives in [`crate::wire`].
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -64,7 +70,7 @@ use hgp_math::pauli::PauliSum;
 use hgp_obs::{FlightRecorder, JobTrace, NoProfile, OpProfile, OpProfileSnapshot, Span, SpanKind};
 use hgp_sim::seed::stream_seed;
 
-use crate::cache::ProgramCache;
+use crate::cache::{CompiledArtifact, ProgramCache};
 use crate::job::{
     JobError, JobId, JobOutput, JobProgram, JobRequest, JobResult, JobSpec, Priority, Rejected,
 };
@@ -73,12 +79,11 @@ use crate::service::{
     compile_artifact, execute_job, trajectory_shots, validate_request, PreparedJob, ServeConfig,
 };
 
-/// Configuration of a [`Daemon`]: the underlying service parameters
-/// plus the admission-control bounds only a long-lived queue needs.
+/// Configuration of a [`Daemon`]: the worker-pool parameters plus the
+/// admission-control and observability bounds.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
-    /// Worker pool / cache / seed / compile configuration, shared with
-    /// the batch path.
+    /// Worker pool / cache / seed / compile configuration.
     pub service: ServeConfig,
     /// Maximum jobs waiting in the submission queue (in-flight jobs on
     /// workers do not count). Submissions that would overflow are
@@ -117,19 +122,20 @@ impl DaemonConfig {
     ///
     /// Panics if `workers` is zero.
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.service = self.service.with_workers(workers);
+        assert!(workers > 0, "need at least one worker");
+        self.service.workers = workers;
         self
     }
 
     /// Overrides the base seed of the daemon's evaluation stream.
     pub fn with_base_seed(mut self, seed: u64) -> Self {
-        self.service = self.service.with_base_seed(seed);
+        self.service.base_seed = seed;
         self
     }
 
     /// Overrides the compiled-shape cache capacity.
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.service = self.service.with_cache_capacity(capacity);
+        self.service.cache_capacity = capacity;
         self
     }
 
@@ -205,13 +211,28 @@ impl QueueState {
     }
 }
 
+/// The outcome of one shape's compile, shared with the workers waiting
+/// on it: `Ok` once the artifact is in the cache, or the compile error.
+type CompileOutcome = Arc<OnceLock<Result<(), JobError>>>;
+
+/// The compiled-shape cache and its single-flight table, under one
+/// mutex so a miss and the in-flight check are one atomic step.
+struct CacheState {
+    programs: ProgramCache,
+    /// Shapes a worker is compiling right now. A worker that misses on
+    /// one of these waits for its outcome instead of compiling again.
+    compiling: BTreeMap<u64, CompileOutcome>,
+}
+
 /// State shared between the daemon handle and its workers.
 struct Shared {
     backend: Backend,
     config: DaemonConfig,
     queue: Mutex<QueueState>,
     work_ready: Condvar,
-    cache: Mutex<ProgramCache>,
+    cache: Mutex<CacheState>,
+    /// Signalled whenever a compile lands (success or failure).
+    compiled: Condvar,
     metrics: Mutex<ServeMetrics>,
     /// Queue-depth gauge mirrored out of the queue lock so metrics
     /// snapshots never contend with admission.
@@ -323,8 +344,8 @@ impl ResultStream {
     }
 
     /// Drains the stream and returns all results sorted back into
-    /// submission order — the blocking shape, equivalent to what
-    /// [`crate::Service::run_batch`] returns for the same requests.
+    /// submission order — the blocking shape [`Daemon::run_batch`]
+    /// returns.
     pub fn collect_ordered(mut self) -> Vec<JobResult> {
         let mut results: Vec<JobResult> = Vec::with_capacity(self.ids.len());
         while let Some(result) = self.recv() {
@@ -390,7 +411,11 @@ impl Daemon {
                 open: true,
             }),
             work_ready: Condvar::new(),
-            cache: Mutex::new(cache),
+            cache: Mutex::new(CacheState {
+                programs: cache,
+                compiling: BTreeMap::new(),
+            }),
+            compiled: Condvar::new(),
             metrics: Mutex::new(ServeMetrics::default()),
             queue_depth: AtomicU64::new(0),
             recorder: Mutex::new(recorder),
@@ -468,7 +493,8 @@ impl Daemon {
     /// contiguously, so the group occupies positions
     /// `ids()[0] ..= ids()[n-1]` of the evaluation stream. Jobs that
     /// fail validation consume their position and are answered through
-    /// the stream, identical to [`crate::Service::run_batch`] semantics.
+    /// the stream, so the surviving jobs are bit-identical to a group in
+    /// which the failed entry was replaced by any other single job.
     ///
     /// # Errors
     ///
@@ -515,7 +541,6 @@ impl Daemon {
                 (validation, t0.elapsed().as_nanos() as u64)
             })
             .collect();
-        let validate_ns: u64 = validations.iter().map(|(_, ns)| ns).sum();
         let validate_samples: Vec<u64> = validations.iter().map(|(_, ns)| *ns).collect();
         let n_valid = validations.iter().filter(|(v, _)| v.is_ok()).count();
         let tracing = self.shared.config.trace_capacity > 0;
@@ -539,9 +564,7 @@ impl Daemon {
                     limit: config.max_queue_depth,
                 });
             }
-            for (index, (request, (validation, validate_job_ns))) in
-                requests.into_iter().zip(validations).enumerate()
-            {
+            for (request, (validation, validate_job_ns)) in requests.into_iter().zip(validations) {
                 let id = JobId(queue.next_job);
                 queue.next_job += 1;
                 let seed = request
@@ -567,7 +590,6 @@ impl Daemon {
                     ],
                 });
                 let job = PreparedJob {
-                    index,
                     id,
                     seed,
                     params: request.params,
@@ -618,7 +640,7 @@ impl Daemon {
         {
             let mut metrics = lock(&self.shared.metrics);
             metrics.admitted[priority.index()] += ids.len() as u64;
-            metrics.validate_ns += validate_ns;
+            metrics.validate_ns += validate_samples.iter().sum::<u64>();
             for ns in validate_samples {
                 metrics.validate_hist.record(ns);
             }
@@ -637,8 +659,8 @@ impl Daemon {
     }
 
     /// The blocking convenience: submits a group at [`Priority::Batch`]
-    /// and waits for all results in submission order — a drop-in
-    /// stand-in for [`crate::Service::run_batch`] on a shared daemon.
+    /// and waits for all results in submission order. Rejections are
+    /// those of [`Daemon::submit_group`].
     pub fn run_batch(&self, requests: Vec<JobRequest>) -> Result<Vec<JobResult>, Rejected> {
         Ok(self
             .submit_group(requests, Priority::Batch)?
@@ -753,12 +775,12 @@ impl Drop for Daemon {
     }
 }
 
-/// The persistent worker loop: take the next job by priority, compile
-/// through the shared cache, execute through the shared worker core,
+/// The persistent worker loop: take the next job by priority, look its
+/// shape up in the shared cache (compiling single-flight on a miss, see
+/// [`lookup_or_compile`]), execute through the shared worker core,
 /// stream the result out, account metrics. Exits when the queue is
 /// closed **and** empty — shutdown drains.
 fn worker_loop(shared: &Shared) {
-    let config = &shared.config.service;
     loop {
         let (queued, depth_after) = {
             let mut queue = lock(&shared.queue);
@@ -780,29 +802,8 @@ fn worker_loop(shared: &Shared) {
             .store(depth_after as u64, Ordering::Relaxed);
         let queue_ns = queued.enqueued.elapsed().as_nanos() as u64;
 
-        // Compile through the shared cache. On a miss the compile runs
-        // outside the cache lock — a concurrent worker may compile the
-        // same shape redundantly, but compilation is deterministic, so
-        // last-insert-wins is harmless and admission never stalls
-        // behind a slow compile.
-        let cached = lock(&shared.cache).get(queued.key);
-        let (artifact, cache_hit, compile_ns) = match cached {
-            Some(artifact) => (Ok(artifact), true, 0),
-            None => {
-                let t0 = Instant::now();
-                let compiled = compile_artifact(
-                    &shared.backend,
-                    &config.layout,
-                    config.compile_options,
-                    &queued.program,
-                );
-                let compile_ns = t0.elapsed().as_nanos() as u64;
-                if let Ok(artifact) = &compiled {
-                    lock(&shared.cache).insert(artifact.clone());
-                }
-                (compiled, false, compile_ns)
-            }
-        };
+        let (artifact, cache_hit, compile_ns) =
+            lookup_or_compile(shared, queued.key, &queued.program);
 
         let shots = trajectory_shots(&queued.job.spec);
         let kind = queued.job.spec.kind_index();
@@ -839,13 +840,13 @@ fn worker_loop(shared: &Shared) {
         {
             let mut metrics = lock(&shared.metrics);
             metrics.queue_ns += queue_ns;
-            metrics.compile_ns += compile_ns;
-            metrics.bind_ns += bind_ns;
-            metrics.exec_ns += exec_ns;
-            if !cache_hit {
+            if let Some(compile_ns) = compile_ns {
+                metrics.compile_ns += compile_ns;
                 metrics.compile_hist.record(compile_ns);
             }
-            metrics.record_job_stages(Some(queue_ns), bind_ns, exec_ns, priority, kind);
+            metrics.bind_ns += bind_ns;
+            metrics.exec_ns += exec_ns;
+            metrics.record_job_stages(queue_ns, bind_ns, exec_ns, priority, kind);
             metrics.jobs_completed += 1;
             if result.output.is_err() {
                 metrics.jobs_failed += 1;
@@ -853,8 +854,8 @@ fn worker_loop(shared: &Shared) {
                 metrics.shots_executed += shots;
             }
             let cache = lock(&shared.cache);
-            metrics.cache_hits = cache.hits();
-            metrics.cache_misses = cache.misses();
+            metrics.cache_hits = cache.programs.hits();
+            metrics.cache_misses = cache.programs.misses();
         }
 
         if let Some(trace) = &mut trace {
@@ -886,11 +887,103 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
+/// Looks `key` up in the shared cache, compiling `program` on a miss,
+/// single-flight: a worker that misses while another compiles the same
+/// key waits for that compile and takes its outcome (a cache hit, or the
+/// same compile error), so `cache_misses` counts compiles actually run.
+/// The compile runs outside the cache lock. Returns the artifact,
+/// whether it came from the cache, and this worker's compile time.
+fn lookup_or_compile(
+    shared: &Shared,
+    key: u64,
+    program: &JobProgram,
+) -> (Result<CompiledArtifact, JobError>, bool, Option<u64>) {
+    let mut cache = lock(&shared.cache);
+    loop {
+        if let Some(outcome) = cache.compiling.get(&key).cloned() {
+            while outcome.get().is_none() {
+                cache = shared
+                    .compiled
+                    .wait(cache)
+                    .unwrap_or_else(|poisoned| poisoned.into_inner());
+            }
+            if let Some(Err(error)) = outcome.get() {
+                return (Err(error.clone()), false, None);
+            }
+            // Landed in the cache: the lookup below hits (or, if the
+            // shape was already evicted again, compiles it afresh).
+            continue;
+        }
+        match cache.programs.get(key) {
+            Some(artifact) => return (Ok(artifact), true, None),
+            None => break,
+        }
+    }
+    let mut flight = CompileFlight::begin(shared, &mut cache, key);
+    drop(cache);
+    let config = &shared.config.service;
+    let t0 = Instant::now();
+    let compiled = compile_artifact(
+        &shared.backend,
+        &config.layout,
+        config.compile_options,
+        program,
+    );
+    let compile_ns = t0.elapsed().as_nanos() as u64;
+    flight.landed = Some(compiled.clone());
+    drop(flight);
+    (compiled, false, Some(compile_ns))
+}
+
+/// A worker's claim on compiling one key. Dropping it — after the
+/// compile, or while unwinding out of a panicking one — publishes the
+/// outcome, releases the key and wakes the waiters, so no exit path
+/// leaves them waiting.
+struct CompileFlight<'a> {
+    shared: &'a Shared,
+    key: u64,
+    outcome: CompileOutcome,
+    landed: Option<Result<CompiledArtifact, JobError>>,
+}
+
+impl<'a> CompileFlight<'a> {
+    fn begin(shared: &'a Shared, cache: &mut CacheState, key: u64) -> Self {
+        let outcome = CompileOutcome::default();
+        cache.compiling.insert(key, Arc::clone(&outcome));
+        Self {
+            shared,
+            key,
+            outcome,
+            landed: None,
+        }
+    }
+}
+
+impl Drop for CompileFlight<'_> {
+    fn drop(&mut self) {
+        let landed = self
+            .landed
+            .take()
+            .unwrap_or_else(|| Err(JobError::compile("compiling this shape panicked")));
+        let mut cache = lock(&self.shared.cache);
+        // Insert and publish under one lock hold: a waiter that sees
+        // `Ok` is guaranteed to find the artifact cached.
+        let _ = self
+            .outcome
+            .set(landed.map(|artifact| cache.programs.insert(artifact)));
+        cache.compiling.remove(&self.key);
+        drop(cache);
+        self.shared.compiled.notify_all();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::JobStage;
     use hgp_core::qaoa::qaoa_circuit;
     use hgp_graph::instances;
+    use std::panic::AssertUnwindSafe;
 
     fn counts_request(circuit: &Circuit, gamma: f64) -> JobRequest {
         JobRequest::new(
@@ -934,6 +1027,45 @@ mod tests {
         assert!(results.iter().all(|r| r.output.is_ok()));
         let metrics = daemon.shutdown();
         assert_eq!(metrics.jobs_completed, 4);
+    }
+
+    #[test]
+    fn an_abandoned_compile_releases_its_key_and_fails_its_waiters() {
+        // A compile that panics unwinds through its flight guard. The
+        // key must come free and a worker already waiting on it must
+        // get a compile-stage error rather than wait forever (or run a
+        // second compile).
+        let mut bell = Circuit::new(2);
+        bell.h(0).cx(0, 1);
+        let program = JobProgram::Circuit(bell);
+        let key = program.structural_key();
+        let daemon = Daemon::start(
+            Backend::ideal(2),
+            DaemonConfig::new(vec![0, 1]).with_workers(1),
+        );
+        let shared = &*daemon.shared;
+        let flight = CompileFlight::begin(shared, &mut lock(&shared.cache), key);
+        let outcome = Arc::clone(&flight.outcome);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| lookup_or_compile(shared, key, &program));
+            // The waiter holds its own clone of the outcome once it is
+            // parked on this key (map entry + flight + waiter).
+            while Arc::strong_count(&outcome) < 3 {
+                std::thread::yield_now();
+            }
+            let _ = std::panic::catch_unwind(AssertUnwindSafe(move || {
+                let _flight = flight;
+                panic!("compile panicked");
+            }));
+            let (artifact, cache_hit, compile_ns) = waiter.join().expect("waiter returns");
+            let error = artifact.map(|_| ()).expect_err("waiter shares the failure");
+            assert_eq!(error.stage, JobStage::Compile);
+            assert!(!cache_hit);
+            assert_eq!(compile_ns, None, "the waiter ran no compile");
+        });
+        let cache = lock(&shared.cache);
+        assert!(cache.compiling.is_empty(), "the key was released");
+        assert_eq!(cache.programs.misses(), 0);
     }
 
     #[test]

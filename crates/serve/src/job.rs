@@ -476,9 +476,10 @@ pub struct JobResult {
     /// deterministic specs and failed jobs, so any result can be
     /// replayed.
     pub seed: u64,
-    /// Whether the compiled program was already cached when this job's
-    /// batch started (false exactly for jobs of a shape compiled for
-    /// this batch, and for jobs that failed before compilation).
+    /// Whether this job's compiled program came from the cache: false
+    /// exactly for the one job whose worker compiled its shape, for the
+    /// jobs of a shape whose compile failed, and for jobs that failed
+    /// validation.
     pub cache_hit: bool,
     /// Wall-clock execution time of this job on its worker (0 for jobs
     /// rejected at validation).

@@ -1,86 +1,63 @@
-//! The job-execution service: same-shape batching over a worker pool.
+//! The shared worker core: what every served job goes through between
+//! admission and delivery, independent of how the [`crate::Daemon`]
+//! queues and schedules it.
 //!
-//! # Execution model
-//!
-//! [`Service::run_batch`] is the unit of scheduling:
-//!
-//! 1. **Admission** — each request gets a monotonically increasing
-//!    [`JobId`] and a sampling seed derived from the service's base seed
-//!    and that id ([`hgp_sim::seed::stream_seed`]), unless the request
-//!    pinned one. Seeds are therefore a pure function of submission
-//!    order, never of worker scheduling. Requests that fail validation
-//!    (bad parameter counts, mismatched observables, zero shot counts,
-//!    a hybrid spec on a circuit payload) are answered with a
-//!    [`JobError`] — they still consume their stream position, so the
-//!    surviving jobs of the batch are bit-identical to a batch without
-//!    the poisoned entry *replaced by any other single job*.
-//! 2. **Compile** — jobs are grouped by structural key
-//!    ([`Circuit::structural_key`] for circuit programs,
-//!    [`hgp_core::compile::HybridShape::structural_key`] for hybrid
-//!    gate-pulse programs); each distinct shape is looked up in the LRU
-//!    [`ProgramCache`] and compiled on miss
-//!    ([`hgp_core::compile::CircuitCompiler`] — cancellation, SABRE
-//!    placement, routing; for hybrid shapes also per-layer layout
-//!    chaining and mixer pulse calibration), once, no matter how many
-//!    jobs share it. A shape that fails to compile (e.g. a malformed
-//!    pulse schedule) fails exactly the jobs of that shape, with a
-//!    compile-stage [`JobError`].
-//! 3. **Dispatch** — every shape group is chunked across the worker
-//!    pool (std threads + mpsc channels). A chunk carries its shared
-//!    compiled artifact; workers bind each job's parameters and execute.
-//!    The four trajectory kinds bind through the artifact's
-//!    **schedule template** (`bind_replay`): the ASAP walk, idle
-//!    analysis, and channel tables recorded once per shape (on its
-//!    first trajectory bind) are reused, only the parametric entries
-//!    (bound-angle diagonals, mixer pulse blocks) are substituted, and
-//!    the shots run on the op-fused
+//! 1. **Validate** — [`validate_request`] checks a request against its
+//!    own declared shape (parameter counts, observable widths, shot
+//!    counts, spec/program family pairing). Failures become
+//!    validate-stage [`JobError`]s, never panics.
+//! 2. **Compile** — [`compile_artifact`] turns a program shape into its
+//!    cached form ([`hgp_core::compile::CircuitCompiler`] — cancellation,
+//!    SABRE placement, routing; for hybrid shapes also per-layer layout
+//!    chaining and mixer pulse calibration). The daemon runs it at most
+//!    once per structural key and caches the result; a shape that fails
+//!    to compile (e.g. a malformed pulse schedule) fails exactly the jobs
+//!    of that shape, with a compile-stage [`JobError`].
+//! 3. **Bind and execute** — [`execute_job`] binds each job's parameters
+//!    into the shared compiled artifact and executes. The four
+//!    trajectory kinds bind through the artifact's **schedule template**
+//!    (`bind_replay`): the ASAP walk, idle analysis, and channel tables
+//!    recorded once per shape (on its first trajectory bind) are reused,
+//!    only the parametric entries (bound-angle diagonals, mixer pulse
+//!    blocks) are substituted, and the shots run on the op-fused
 //!    [`hgp_sim::ReplayEngine`] — bit-identical to the reference
 //!    trajectory engine. Execution is wrapped in a panic boundary: any
 //!    residual panic on request-derived data becomes an execute-stage
 //!    [`JobError`] instead of killing the worker.
-//! 4. **Collection** — results return over a channel and are reordered
-//!    by submission index; metrics accumulate per stage
-//!    (validate/compile/bind/execute — see [`ServeMetrics`]).
 //!
 //! Because a job's output depends only on `(compiled shape, params,
 //! seed)` and all three are fixed at admission, **any concurrent
 //! schedule is bit-identical to sequential execution** — the
-//! integration suite pins this against hand-driven
+//! integration suites pin this against hand-driven
 //! [`Executor`](hgp_core::executor::Executor) runs for circuit and
 //! hybrid programs alike.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
-use hgp_circuit::Circuit;
-use hgp_core::compile::{CircuitCompiler, HybridShape};
+use hgp_core::compile::CircuitCompiler;
 use hgp_core::models::GateModelOptions;
 use hgp_device::Backend;
-use hgp_math::pauli::PauliSum;
-use hgp_sim::seed::stream_seed;
-use hgp_sim::{NoProfile, ProfileSink, SimBackend, StateVector};
+use hgp_sim::{ProfileSink, SimBackend, StateVector};
 
-use crate::cache::{CompiledArtifact, ProgramCache};
-use crate::job::{
-    JobError, JobId, JobOutput, JobProgram, JobRequest, JobResult, JobSpec, Priority,
-};
-use crate::metrics::ServeMetrics;
+use crate::cache::CompiledArtifact;
+use crate::job::{JobError, JobId, JobOutput, JobProgram, JobRequest, JobResult, JobSpec};
 
-/// Service configuration.
+/// Worker pool, cache, seed and compile parameters — the
+/// [`crate::DaemonConfig::service`] part of a daemon's configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Physical qubits circuits are routed into; a circuit of `n`
     /// qubits uses the first `n` entries (which must induce a connected
     /// subgraph).
     pub layout: Vec<usize>,
-    /// Worker threads per batch. Defaults to the host's available
+    /// Persistent worker threads. Defaults to the host's available
     /// parallelism, capped at 8.
     pub workers: usize,
     /// Compiled shapes kept in the LRU cache.
     pub cache_capacity: usize,
-    /// Base seed of the service's evaluation stream.
+    /// Base seed of the evaluation stream.
     pub base_seed: u64,
     /// Transpilation passes applied once per circuit shape (hybrid
     /// shapes carry their own pass configuration).
@@ -103,46 +80,14 @@ impl ServeConfig {
             compile_options: GateModelOptions::optimized(),
         }
     }
-
-    /// Overrides the worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        assert!(workers > 0, "need at least one worker");
-        self.workers = workers;
-        self
-    }
-
-    /// Overrides the cache capacity.
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
-        self
-    }
-
-    /// Overrides the base seed.
-    pub fn with_base_seed(mut self, seed: u64) -> Self {
-        self.base_seed = seed;
-        self
-    }
-
-    /// Overrides the compilation passes for circuit shapes.
-    pub fn with_compile_options(mut self, options: GateModelOptions) -> Self {
-        self.compile_options = options;
-        self
-    }
 }
 
 /// A job admitted to the stream: id and seed fixed, awaiting dispatch.
 ///
-/// This is the unit of the **shared worker core**: both the synchronous
-/// batch path ([`Service::run_batch`]) and the long-lived daemon
-/// ([`crate::daemon::Daemon`]) admit requests into `PreparedJob`s and
-/// execute them through [`execute_job`], so the determinism contract is
-/// written (and tested) exactly once.
+/// This is the unit of the worker core: the daemon admits requests into
+/// `PreparedJob`s and executes them through [`execute_job`], so the
+/// determinism contract is written (and tested) in one place.
 pub(crate) struct PreparedJob {
-    pub(crate) index: usize,
     pub(crate) id: JobId,
     pub(crate) seed: u64,
     pub(crate) params: Vec<f64>,
@@ -162,327 +107,10 @@ impl PreparedJob {
     }
 }
 
-/// One unit of worker work: a chunk of same-shape jobs plus their
-/// shared compiled program.
-struct WorkUnit {
-    compiled: CompiledArtifact,
-    cache_hit: bool,
-    jobs: Vec<PreparedJob>,
-}
-
-/// The batched job-execution service. See the module docs.
-#[derive(Debug)]
-pub struct Service<'a> {
-    backend: &'a Backend,
-    config: ServeConfig,
-    cache: ProgramCache,
-    metrics: ServeMetrics,
-    next_job: u64,
-}
-
-impl<'a> Service<'a> {
-    /// Creates a service executing on `backend`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the layout references qubits outside the backend (the
-    /// compiler validates on first use), `cache_capacity` is zero, or
-    /// `workers` is zero.
-    pub fn new(backend: &'a Backend, config: ServeConfig) -> Self {
-        assert!(config.workers > 0, "need at least one worker");
-        let cache = ProgramCache::new(config.cache_capacity);
-        Self {
-            backend,
-            config,
-            cache,
-            metrics: ServeMetrics::default(),
-            next_job: 0,
-        }
-    }
-
-    /// The backend jobs execute on.
-    pub fn backend(&self) -> &Backend {
-        self.backend
-    }
-
-    /// The service configuration.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
-    }
-
-    /// Cumulative metrics.
-    pub fn metrics(&self) -> &ServeMetrics {
-        &self.metrics
-    }
-
-    /// The compiled-program cache (shape count, hit/miss counters).
-    pub fn cache(&self) -> &ProgramCache {
-        &self.cache
-    }
-
-    /// Validates one request against its own declared shape. Runs at
-    /// admission, before any execution; failures become validate-stage
-    /// job errors, never panics.
-    fn validate(request: &JobRequest) -> Result<(), JobError> {
-        validate_request(request)
-    }
-
-    /// Compiles one shape group's program (cache miss path).
-    fn compile_program(&mut self, program: &JobProgram) -> Result<CompiledArtifact, JobError> {
-        let t0 = Instant::now();
-        let artifact = compile_artifact(
-            self.backend,
-            &self.config.layout,
-            self.config.compile_options,
-            program,
-        )?;
-        let dt = t0.elapsed().as_nanos() as u64;
-        self.metrics.compile_ns += dt;
-        self.metrics.compile_hist.record(dt);
-        Ok(artifact)
-    }
-
-    /// Serves one batch of jobs, returning results in submission order.
-    ///
-    /// Malformed requests — wrong parameter counts, mismatched
-    /// observables, spec/program family mismatches, uncompilable shapes
-    /// — fail **individually** with a typed [`JobError`]; the rest of
-    /// the batch executes normally. Every admitted job (failed or not)
-    /// consumes one position of the id/seed stream.
-    pub fn run_batch(&mut self, requests: Vec<JobRequest>) -> Vec<JobResult> {
-        if requests.is_empty() {
-            return Vec::new();
-        }
-        let wall = Instant::now();
-        let n_jobs = requests.len();
-
-        // 1. Admission: fix ids and seeds by submission order; peel off
-        // requests that fail validation.
-        let mut rejected: Vec<(usize, JobResult)> = Vec::new();
-        let mut groups: Vec<(u64, &JobProgram, Vec<PreparedJob>)> = Vec::new();
-        for (index, request) in requests.iter().enumerate() {
-            let id = JobId(self.next_job);
-            self.next_job += 1;
-            let seed = request
-                .seed
-                .unwrap_or_else(|| stream_seed(self.config.base_seed, id.0));
-            let job = PreparedJob {
-                index,
-                id,
-                seed,
-                params: request.params.clone(),
-                spec: request.spec.clone(),
-            };
-            let t_validate = Instant::now();
-            let validation = Self::validate(request);
-            let dt = t_validate.elapsed().as_nanos() as u64;
-            self.metrics.validate_ns += dt;
-            self.metrics.validate_hist.record(dt);
-            if let Err(error) = validation {
-                rejected.push((index, job.failed(error)));
-                continue;
-            }
-            let key = request.program.structural_key();
-            match groups.iter_mut().find(|(k, _, _)| *k == key) {
-                Some((_, _, jobs)) => jobs.push(job),
-                None => groups.push((key, &request.program, vec![job])),
-            }
-        }
-
-        // 2. Compile each distinct shape once (cache hit or miss); a
-        // compile failure fails its whole group, one error per job.
-        self.metrics.shape_groups += groups.len() as u64;
-        let mut units: Vec<WorkUnit> = Vec::new();
-        for (key, program, jobs) in groups {
-            let (compiled, cache_hit) = match self.cache.get(key) {
-                Some(compiled) => (compiled, true),
-                None => match self.compile_program(program) {
-                    Ok(compiled) => {
-                        self.cache.insert(compiled.clone());
-                        (compiled, false)
-                    }
-                    Err(error) => {
-                        for job in jobs {
-                            let failed = job.failed(error.clone());
-                            rejected.push((job.index, failed));
-                        }
-                        continue;
-                    }
-                },
-            };
-            // 3a. Chunk the group across the pool so one hot shape does
-            // not serialize on a single worker.
-            let chunk = jobs.len().div_ceil(self.config.workers).max(1);
-            let mut jobs = jobs;
-            while !jobs.is_empty() {
-                let rest = jobs.split_off(chunk.min(jobs.len()));
-                units.push(WorkUnit {
-                    compiled: compiled.clone(),
-                    cache_hit,
-                    jobs,
-                });
-                jobs = rest;
-            }
-        }
-        self.metrics.cache_hits = self.cache.hits();
-        self.metrics.cache_misses = self.cache.misses();
-
-        // 3b. Dispatch over the pool: a shared channel of work units in,
-        // a channel of finished jobs out.
-        let (unit_tx, unit_rx) = mpsc::channel::<WorkUnit>();
-        for unit in units {
-            unit_tx.send(unit).expect("receiver alive");
-        }
-        drop(unit_tx);
-        let unit_rx = Arc::new(Mutex::new(unit_rx));
-        let (result_tx, result_rx) = mpsc::channel::<(usize, JobResult, u64, u64, usize)>();
-        let backend = self.backend;
-        let workers = self.config.workers.min(n_jobs).max(1);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let unit_rx = Arc::clone(&unit_rx);
-                let result_tx = result_tx.clone();
-                scope.spawn(move || loop {
-                    // Hold the receiver lock only to pop, not to work.
-                    let unit = { unit_rx.lock().expect("no poisoned lock").recv() };
-                    let Ok(unit) = unit else { break };
-                    for job in unit.jobs {
-                        let index = job.index;
-                        let shots = trajectory_shots(&job.spec);
-                        let kind = job.spec.kind_index();
-                        let (result, bind_ns) =
-                            execute_job(backend, &unit.compiled, unit.cache_hit, job, &NoProfile);
-                        result_tx
-                            .send((index, result, bind_ns, shots, kind))
-                            .expect("collector alive");
-                    }
-                });
-            }
-            drop(result_tx);
-            // 4. Collect and reorder (rejected jobs fill their slots
-            // directly).
-            let mut slots: Vec<Option<JobResult>> = (0..n_jobs).map(|_| None).collect();
-            for (index, result) in rejected {
-                slots[index] = Some(result);
-            }
-            for (index, result, bind_ns, shots, kind) in result_rx {
-                let exec_ns = result.elapsed_ns.saturating_sub(bind_ns);
-                self.metrics.bind_ns += bind_ns;
-                self.metrics.exec_ns += exec_ns;
-                // The synchronous batch path has no priority classes;
-                // everything lands in the default batch bucket. The
-                // daemon records real priorities and queue waits.
-                self.metrics
-                    .record_job_stages(None, bind_ns, exec_ns, Priority::Batch, kind);
-                if result.output.is_ok() {
-                    self.metrics.shots_executed += shots;
-                }
-                slots[index] = Some(result);
-            }
-            let results: Vec<JobResult> = slots
-                .into_iter()
-                .map(|r| r.expect("every job reports exactly once"))
-                .collect();
-            self.metrics.jobs_failed += results.iter().filter(|r| r.output.is_err()).count() as u64;
-            self.metrics.jobs_completed += n_jobs as u64;
-            self.metrics.batches += 1;
-            self.metrics.wall_ns += wall.elapsed().as_nanos() as u64;
-            results
-        })
-    }
-
-    /// Serves a single job (a batch of one).
-    pub fn run(&mut self, request: JobRequest) -> JobResult {
-        self.run_batch(vec![request])
-            .pop()
-            .expect("one job in, one result out")
-    }
-
-    /// Evaluates `observable` on `circuit` at a slice of parameter
-    /// points — the service-backed form of an `hgp_optim`
-    /// `BatchObjective`. All points share one compiled program and fan
-    /// out over the pool; values return in point order.
-    ///
-    /// ```ignore
-    /// let mut objective =
-    ///     |xs: &[Vec<f64>]| service.expectation_batch(&circuit, &observable, xs);
-    /// let result = Cobyla::new(60).minimize_batch(&mut objective, &x0);
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if any job fails (an optimization driver is programmer
-    /// infrastructure, not a request boundary).
-    pub fn expectation_batch(
-        &mut self,
-        circuit: &Circuit,
-        observable: &PauliSum,
-        points: &[Vec<f64>],
-    ) -> Vec<f64> {
-        let requests = points
-            .iter()
-            .map(|x| {
-                JobRequest::new(
-                    circuit.clone(),
-                    x.clone(),
-                    JobSpec::Expectation {
-                        observable: observable.clone(),
-                    },
-                )
-            })
-            .collect();
-        self.run_batch(requests)
-            .into_iter()
-            .map(|r| match r.unwrap_output() {
-                JobOutput::Expectation { value } => *value,
-                other => unreachable!("expectation job produced {other:?}"),
-            })
-            .collect()
-    }
-
-    /// The hybrid counterpart of [`Service::expectation_batch`]:
-    /// evaluates `observable` on the hybrid gate-pulse `shape` at a
-    /// slice of full parameter points (`[gamma, theta, phase_0, f_0,
-    /// ...]` per layer). One compiled hybrid program serves every point
-    /// — this is the entry the two-stage (coarse gate / fine pulse-trim)
-    /// training loop drives.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any job fails.
-    pub fn hybrid_expectation_batch(
-        &mut self,
-        shape: &HybridShape,
-        observable: &PauliSum,
-        points: &[Vec<f64>],
-    ) -> Vec<f64> {
-        let requests = points
-            .iter()
-            .map(|x| {
-                JobRequest::hybrid(
-                    shape.clone(),
-                    x.clone(),
-                    JobSpec::HybridExpectation {
-                        observable: observable.clone(),
-                    },
-                )
-            })
-            .collect();
-        self.run_batch(requests)
-            .into_iter()
-            .map(|r| match r.unwrap_output() {
-                JobOutput::Expectation { value } => *value,
-                other => unreachable!("hybrid expectation job produced {other:?}"),
-            })
-            .collect()
-    }
-}
-
 /// Validates one request against its own declared shape — parameter
 /// counts, observable widths, shot counts, spec/program family pairing.
-/// Shared by the batch path and the daemon so both admit exactly the
-/// same request set; failures become validate-stage job errors, never
-/// panics.
+/// Runs at admission, before any execution; failures become
+/// validate-stage job errors, never panics.
 pub(crate) fn validate_request(request: &JobRequest) -> Result<(), JobError> {
     if request.params.len() != request.program.n_params() {
         return Err(JobError::validate(format!(
@@ -540,8 +168,8 @@ pub(crate) fn validate_request(request: &JobRequest) -> Result<(), JobError> {
 }
 
 /// Compiles one program shape into its cached artifact form — the
-/// cache-miss path shared by [`Service`] and the daemon. All
-/// request-derived failures come back as compile-stage [`JobError`]s.
+/// daemon's cache-miss path. All request-derived failures come back as
+/// compile-stage [`JobError`]s.
 pub(crate) fn compile_artifact(
     backend: &Backend,
     layout: &[usize],
@@ -568,11 +196,6 @@ fn timed_bind<T>(acc: &mut u64, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Executes one job against its compiled shape, returning the result and
-/// the job's bind-stage nanoseconds. Pure in `(compiled, params, seed)`
-/// — the determinism contract lives here. The panic boundary converts
-/// any residual panic on request-derived data into an execute-stage
-/// [`JobError`]: a bad job must never take its worker thread down.
 /// Stochastic shots a spec runs on the trajectory replay path — the
 /// unit of the shots-executed metric. Counts jobs, not side effects:
 /// expectation kinds execute one trajectory per requested sample, so
@@ -589,6 +212,11 @@ pub(crate) fn trajectory_shots(spec: &JobSpec) -> u64 {
     }
 }
 
+/// Executes one job against its compiled shape, returning the result and
+/// the job's bind-stage nanoseconds. Pure in `(compiled, params, seed)`
+/// — the determinism contract lives here. The panic boundary converts
+/// any residual panic on request-derived data into an execute-stage
+/// [`JobError`]: a bad job must never take its worker thread down.
 pub(crate) fn execute_job<P: ProfileSink>(
     backend: &Backend,
     compiled: &CompiledArtifact,

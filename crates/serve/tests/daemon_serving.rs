@@ -1,16 +1,19 @@
 //! Integration suite for the long-lived daemon and its TCP front end:
 //!
 //! - the headline determinism contract — daemon results are
-//!   bit-identical to the sequential `Service::run_batch` reference for
-//!   every worker count × group split × priority mix (proptest-pinned),
+//!   bit-identical to the sequential reference (a single-worker daemon
+//!   fed the whole request list as one group) for every worker count ×
+//!   group split × priority mix (proptest-pinned),
+//! - cold shapes compile exactly once each, however many workers pop
+//!   their jobs before the first compile lands,
 //! - admission control and backpressure produce typed rejections that
 //!   never consume id/seed stream positions,
 //! - graceful shutdown drains queued jobs, poisoned jobs included, and
 //!   a dropped `ResultStream` cannot wedge the pool,
 //! - strict-priority scheduling orders completions when one worker
 //!   drains a mixed queue,
-//! - a batch optimizer trains through the daemon exactly as it does
-//!   through the synchronous service,
+//! - a batch optimizer trains through a pooled daemon exactly as it
+//!   does through the sequential one,
 //! - the loopback-socket wire protocol carries submissions, streamed
 //!   results, metrics, and rejections bit-exactly.
 
@@ -26,8 +29,8 @@ use hgp_device::Backend;
 use hgp_graph::instances;
 use hgp_optim::Cobyla;
 use hgp_serve::{
-    Daemon, DaemonConfig, JobId, JobRequest, JobResult, JobSpec, Priority, Rejected, ServeConfig,
-    Service, WireClient, WireServer,
+    Daemon, DaemonConfig, JobId, JobRequest, JobResult, JobSpec, Priority, Rejected, WireClient,
+    WireServer,
 };
 
 const LAYOUT6: [usize; 6] = [0, 1, 2, 3, 4, 5];
@@ -38,10 +41,18 @@ fn daemon_config(workers: usize, base_seed: u64) -> DaemonConfig {
         .with_base_seed(base_seed)
 }
 
-fn service_config(base_seed: u64) -> ServeConfig {
-    ServeConfig::new(LAYOUT6.to_vec())
-        .with_workers(1)
-        .with_base_seed(base_seed)
+/// The sequential oracle: a single-worker daemon fed the whole request
+/// list as one [`Priority::Batch`] group, so jobs run one at a time in
+/// admission order.
+fn sequential_reference(
+    backend: &Backend,
+    base_seed: u64,
+    requests: Vec<JobRequest>,
+) -> Vec<JobResult> {
+    let daemon = Daemon::start(backend.clone(), daemon_config(1, base_seed));
+    let results = daemon.run_batch(requests).expect("admitted");
+    daemon.shutdown();
+    results
 }
 
 /// A pool of requests covering every execution path the daemon serves:
@@ -118,8 +129,8 @@ proptest! {
 
     /// The headline contract: any worker count, any group split, any
     /// priority assignment, any request arrangement — the daemon's
-    /// results are bit-identical to one sequential `run_batch` over the
-    /// same requests in admission order.
+    /// results are bit-identical to a single-worker daemon serving the
+    /// same requests as one group in admission order.
     #[test]
     fn daemon_is_bit_identical_to_sequential_run_batch(
         workers in 1usize..5,
@@ -140,8 +151,7 @@ proptest! {
 
         // Sequential reference: one single-worker batch in admission
         // order.
-        let mut service = Service::new(&backend, service_config(base_seed));
-        let reference = service.run_batch(requests.clone());
+        let reference = sequential_reference(&backend, base_seed, requests.clone());
 
         // Daemon run: the same requests split into consecutive groups,
         // each submitted under its own priority class.
@@ -183,8 +193,7 @@ fn tracing_and_profiling_leave_results_bit_identical() {
     let graph = instances::task1_three_regular_6();
     let requests = mixed_requests(&graph);
 
-    let mut service = Service::new(&backend, service_config(7));
-    let reference = service.run_batch(requests.clone());
+    let reference = sequential_reference(&backend, 7, requests.clone());
 
     let daemon = Daemon::start(
         backend,
@@ -287,8 +296,7 @@ fn rejections_consume_no_stream_positions() {
         .expect("fits all bounds")
         .collect_ordered();
     assert_eq!(results[0].id, JobId(0));
-    let mut service = Service::new(&backend, service_config(11));
-    let reference = service.run_batch(vec![request(0.7)]);
+    let reference = sequential_reference(&backend, 11, vec![request(0.7)]);
     assert_eq!(fingerprint(&results), fingerprint(&reference));
 
     let metrics = daemon.shutdown();
@@ -361,8 +369,7 @@ fn dropped_result_stream_cannot_wedge_the_pool() {
     };
     let daemon = Daemon::start(backend, daemon_config(2, 3));
     // Submit and walk away: the workers' result sends hit a dead
-    // receiver and must be discarded, not panicked on (`run_batch`'s
-    // scoped collector can `expect` its sends; the daemon cannot).
+    // receiver and must be discarded, not panicked on.
     let abandoned = daemon
         .submit_group(
             (0..6).map(|i| request(0.1 * (i + 1) as f64)).collect(),
@@ -445,22 +452,26 @@ fn strict_priority_orders_completions_on_one_worker() {
 fn batch_optimizer_trains_through_the_daemon() {
     // The daemon as the evaluation engine of an hgp_optim batch
     // optimization — and because expectation jobs are deterministic,
-    // the whole optimizer trajectory matches the synchronous service
-    // exactly.
+    // the whole optimizer trajectory on a 4-worker daemon matches the
+    // sequential single-worker one exactly.
     let backend = Backend::ideal(6);
     let graph = instances::task1_three_regular_6();
     let circuit = qaoa_circuit(&graph, 1);
     let observable = cost_hamiltonian(&graph);
 
-    let mut service = Service::new(&backend, ServeConfig::new(LAYOUT6.to_vec()).with_workers(4));
+    let sequential = Daemon::start(
+        backend.clone(),
+        DaemonConfig::new(LAYOUT6.to_vec()).with_workers(1),
+    );
     let mut reference_objective = |xs: &[Vec<f64>]| -> Vec<f64> {
-        service
-            .expectation_batch(&circuit, &observable, xs)
+        sequential
+            .expectation_batch(&circuit, &observable, xs, Priority::Batch)
             .into_iter()
             .map(|v| -v)
             .collect()
     };
     let reference = Cobyla::new(40).minimize_batch(&mut reference_objective, &[0.1, 0.1]);
+    sequential.shutdown();
 
     let daemon = Daemon::start(backend, DaemonConfig::new(LAYOUT6.to_vec()).with_workers(4));
     let mut objective = |xs: &[Vec<f64>]| -> Vec<f64> {
@@ -480,6 +491,103 @@ fn batch_optimizer_trains_through_the_daemon() {
     assert!(metrics.admitted[0] > 20);
 }
 
+/// The cold-compile race: several workers pop jobs of one cold shape
+/// before its first compile lands. Single-flight compilation must run
+/// each shape's compile exactly once — one miss per shape, and exactly
+/// one result per shape that did not come from the cache — on every
+/// repetition, not just on a lucky schedule.
+#[test]
+fn cold_shapes_compile_exactly_once_under_a_worker_pool() {
+    let backend = Backend::ibmq_guadalupe();
+    let graph = instances::task1_three_regular_6();
+    let observable = cost_hamiltonian(&graph);
+    let hybrid = HybridShape::new(graph.clone(), 1);
+    let groups = |round: f64| -> Vec<Vec<JobRequest>> {
+        let point = |i: usize, n: usize| vec![0.05 * (i + 1) as f64 + round; n];
+        vec![
+            (0..4)
+                .map(|i| {
+                    JobRequest::new(qaoa_circuit(&graph, 1), point(i, 2), JobSpec::StateVector)
+                })
+                .collect(),
+            (0..4)
+                .map(|i| {
+                    JobRequest::new(qaoa_circuit(&graph, 2), point(i, 4), JobSpec::StateVector)
+                })
+                .collect(),
+            (0..4)
+                .map(|i| {
+                    JobRequest::hybrid(
+                        hybrid.clone(),
+                        point(i, hybrid.n_params()),
+                        JobSpec::HybridExpectation {
+                            observable: observable.clone(),
+                        },
+                    )
+                })
+                .collect(),
+        ]
+    };
+    for round in 0..20u64 {
+        let daemon = Daemon::start(backend.clone(), daemon_config(4, round));
+        let streams: Vec<_> = groups(0.001 * round as f64)
+            .into_iter()
+            .map(|group| {
+                daemon
+                    .submit_group(group, Priority::Batch)
+                    .expect("admitted")
+            })
+            .collect();
+        let per_shape: Vec<Vec<JobResult>> =
+            streams.into_iter().map(|s| s.collect_ordered()).collect();
+        let metrics = daemon.shutdown();
+        assert_eq!(
+            metrics.cache_misses, 3,
+            "round {round}: one compile per shape"
+        );
+        for (shape, results) in per_shape.iter().enumerate() {
+            assert!(results.iter().all(|r| r.output.is_ok()), "round {round}");
+            let compiled_here = results.iter().filter(|r| !r.cache_hit).count();
+            assert_eq!(compiled_here, 1, "round {round}, shape {shape}");
+        }
+    }
+}
+
+/// A shape that fails to compile fails every one of its jobs with the
+/// same compile-stage error, whether a job's worker ran the compile or
+/// waited on another worker's. Failures are not cached, so each later
+/// job retries; every miss counted is a compile actually run.
+#[test]
+fn a_failed_compile_fails_every_job_of_its_shape_alike() {
+    let graph = instances::task1_three_regular_6();
+    // Mixer duration not a multiple of 32 dt: passes validation, fails
+    // at compile.
+    let bad_shape = HybridShape::new(graph, 1).with_mixer_duration(100);
+    let group: Vec<JobRequest> = (0..6)
+        .map(|i| {
+            JobRequest::hybrid(
+                bad_shape.clone(),
+                vec![0.1 * (i + 1) as f64; bad_shape.n_params()],
+                JobSpec::HybridCounts { shots: 32 },
+            )
+        })
+        .collect();
+    let daemon = Daemon::start(Backend::ibmq_guadalupe(), daemon_config(4, 13));
+    let results = daemon.run_batch(group).expect("admitted");
+    let metrics = daemon.shutdown();
+    let first = results[0].error().expect("compile failure").clone();
+    assert_eq!(first.stage, hgp_serve::JobStage::Compile);
+    assert!(first.message.contains("multiple of 32"), "{first}");
+    for result in &results {
+        assert_eq!(result.error(), Some(&first));
+        assert!(!result.cache_hit);
+    }
+    assert!((1..=6).contains(&metrics.cache_misses));
+    assert_eq!(metrics.compile_hist.count(), metrics.cache_misses);
+    assert_eq!(metrics.cache_hits, 0);
+    assert_eq!(metrics.jobs_failed, 6);
+}
+
 #[test]
 fn wire_round_trip_streams_bit_identical_results() {
     let backend = Backend::ibmq_guadalupe();
@@ -488,8 +596,7 @@ fn wire_round_trip_streams_bit_identical_results() {
     let base_seed = 17;
 
     // Sequential reference for the whole submission order.
-    let mut service = Service::new(&backend, service_config(base_seed));
-    let reference = service.run_batch(requests.clone());
+    let reference = sequential_reference(&backend, base_seed, requests.clone());
 
     let daemon = Arc::new(Daemon::start(backend, daemon_config(3, base_seed)));
     let mut server = WireServer::start(Arc::clone(&daemon), "127.0.0.1:0").expect("bind loopback");

@@ -20,6 +20,26 @@ struct FrozenTrims<'a> {
     allow_freq: bool,
 }
 
+impl FrozenTrims<'_> {
+    /// The parameter vector with the frozen trims zeroed.
+    fn masked(&self, params: &[f64]) -> Vec<f64> {
+        let per_layer = self.inner.params_per_layer();
+        let n = self.inner.n_qubits();
+        let mut masked = params.to_vec();
+        for layer in 0..self.inner.p() {
+            for l in 0..n {
+                if !self.allow_phase {
+                    masked[layer * per_layer + 2 + 2 * l] = 0.0;
+                }
+                if !self.allow_freq {
+                    masked[layer * per_layer + 2 + 2 * l + 1] = 0.0;
+                }
+            }
+        }
+        masked
+    }
+}
+
 impl VqaModel for FrozenTrims<'_> {
     fn backend(&self) -> &Backend {
         VqaModel::backend(&self.inner)
@@ -37,23 +57,16 @@ impl VqaModel for FrozenTrims<'_> {
         self.inner.initial_params()
     }
     fn build(&self, params: &[f64]) -> Program {
-        let per_layer = self.inner.params_per_layer();
-        let n = self.inner.n_qubits();
-        let mut masked = params.to_vec();
-        for layer in 0..self.inner.p() {
-            for l in 0..n {
-                if !self.allow_phase {
-                    masked[layer * per_layer + 2 + 2 * l] = 0.0;
-                }
-                if !self.allow_freq {
-                    masked[layer * per_layer + 2 + 2 * l + 1] = 0.0;
-                }
-            }
-        }
-        self.inner.build(&masked)
+        self.inner.build(&self.masked(params))
     }
     fn layout(&self) -> &[usize] {
         self.inner.layout()
+    }
+    fn executor(&self) -> Executor<'_> {
+        self.inner.executor()
+    }
+    fn exact_tape(&self, exec: &Executor<'_>, params: &[f64]) -> hgp_sim::ExactReplayProgram {
+        self.inner.exact_tape(exec, &self.masked(params))
     }
     fn interpret_counts(&self, counts: &hgp_sim::Counts) -> hgp_sim::Counts {
         self.inner.interpret_counts(counts)

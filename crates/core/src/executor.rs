@@ -14,7 +14,9 @@
 //! either consumer:
 //!
 //! - **exact** ([`Executor::run_on`]): density-matrix evolution,
-//!   `O(4^n)` per instruction — the engine of record for training,
+//!   `O(4^n)` per instruction — the reference oracle the exact tape
+//!   ([`Executor::exact_replay_program`] / [`Executor::run_exact_replay`],
+//!   which training and serving run) is pinned against,
 //! - **sampled** ([`Executor::trajectory_program`] /
 //!   [`Executor::sample_trajectories`] /
 //!   [`Executor::expectation_trajectories`]): the same schedule recorded
@@ -158,8 +160,10 @@ impl<'a> Executor<'a> {
 
     /// [`Executor::run`] generalized over the execution engine.
     ///
-    /// The engine of record for noisy training is [`DensityMatrix`];
-    /// engines without channel support (statevector) host the same
+    /// With [`DensityMatrix`] this is the reference walk: training and
+    /// exact serving run the compiled tape
+    /// ([`Executor::run_exact_replay`]), which is pinned against it.
+    /// Engines without channel support (statevector) host the same
     /// schedule on ideal hardware, where every noise channel
     /// degenerates. For noisy statevector-scale execution use the
     /// trajectory path instead.

@@ -11,9 +11,10 @@
 use hgp_device::Backend;
 use hgp_graph::Graph;
 use hgp_pulse::Waveform;
-use hgp_sim::Counts;
+use hgp_sim::{Counts, ExactReplayProgram};
 
 use crate::compile::{CircuitCompiler, CompiledProgram, HybridShape};
+use crate::executor::Executor;
 use crate::models::gate::GateModelOptions;
 use crate::models::VqaModel;
 use crate::program::Program;
@@ -263,6 +264,14 @@ impl VqaModel for HybridModel<'_> {
         self.compiled.region()
     }
 
+    fn executor(&self) -> Executor<'_> {
+        self.compiled.executor(self.backend)
+    }
+
+    fn exact_tape(&self, exec: &Executor<'_>, params: &[f64]) -> ExactReplayProgram {
+        self.compiled.bind_exact(exec, params)
+    }
+
     fn interpret_counts(&self, counts: &Counts) -> Counts {
         self.compiled.decode_counts(counts)
     }
@@ -284,7 +293,6 @@ impl VqaModel for HybridModel<'_> {
 mod tests {
     use super::*;
     use crate::cost::CostEvaluator;
-    use crate::executor::Executor;
     use hgp_graph::instances;
 
     fn region6() -> Vec<usize> {

@@ -23,6 +23,9 @@ pub use hybrid::{
 pub use pulse::PulseModel;
 pub use region::{default_region, region_coupling, try_region_coupling};
 
+use hgp_sim::ExactReplayProgram;
+
+use crate::executor::Executor;
 use crate::program::Program;
 
 /// A trainable VQA model: parameters in, executable hybrid program out.
@@ -56,6 +59,27 @@ pub trait VqaModel: Sync {
 
     /// The region: `layout[i]` = physical qubit of region wire `i`.
     fn layout(&self) -> &[usize];
+
+    /// The executor training runs this model's probes on. Defaults to a
+    /// fresh [`Executor`] over the model's backend and layout; models
+    /// with a compiled artifact share its cached noise model, which is
+    /// what lets [`VqaModel::exact_tape`] bind the artifact's template.
+    fn executor(&self) -> Executor<'_> {
+        Executor::new(self.backend(), self.layout().to_vec())
+    }
+
+    /// The exact-path superoperator tape of [`VqaModel::build`]'s
+    /// program on `exec` — what a training probe replays. Defaults to
+    /// walking the built program's schedule
+    /// ([`Executor::exact_replay_program`]); models with a compiled
+    /// template bind it instead, bit-identical to that walk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.len() != self.n_params()`.
+    fn exact_tape(&self, exec: &Executor<'_>, params: &[f64]) -> ExactReplayProgram {
+        exec.exact_replay_program(&self.build(params))
+    }
 
     /// Maps measured region-wire counts to logical-qubit counts
     /// (accounting for routing's final permutation).

@@ -2,12 +2,18 @@
 //!
 //! The paper's protocol: COBYLA, 50 iterations maximum, 1024 shots per
 //! cost evaluation, optional CVaR aggregation (`alpha = 0.3`) and M3
-//! mitigation. Each evaluation runs the full noisy pipeline — build
-//! program, execute on the density matrix, sample with readout confusion,
-//! aggregate — so the optimizer sees exactly what hardware training sees.
+//! mitigation. Each evaluation runs the full noisy pipeline — bind the
+//! exact superoperator tape, replay it into a density matrix, sample
+//! with readout confusion, aggregate — so the optimizer sees exactly
+//! what hardware training sees.
 //!
-//! Execution is routed through the [`hgp_sim::SimBackend`] engine (via
-//! [`Executor`]), and independent objective probes — the multi-start
+//! The tape comes from [`VqaModel::exact_tape`] and replays through
+//! [`Executor::run_exact_replay`]: the hybrid model binds its compiled
+//! template — the `bind_exact` path served
+//! `HybridCounts`/`HybridExpectation` jobs take — and the other models
+//! compile it from their built program's schedule walk. The walk itself
+//! ([`Executor::run`]) is the reference oracle the tape is pinned
+//! against. Independent objective probes — the multi-start
 //! warm-up, COBYLA's simplex initializations/rebuilds, and
 //! parameter-shift gradients — are issued as batches and evaluated in
 //! parallel over rayon workers. Every evaluation derives its sampling
@@ -79,7 +85,8 @@ pub struct TrainResult {
 }
 
 /// The shared objective machinery of [`train`] and
-/// [`objective_gradient`]: the executor for the model's layout, the
+/// [`objective_gradient`]: the model's executor ([`VqaModel::executor`],
+/// which for a compiled model shares its cached noise model), the
 /// cost evaluator with the config's CVaR/M3 options applied, and the
 /// exact optimum `C_max`.
 fn objective_setup<'a>(
@@ -88,7 +95,7 @@ fn objective_setup<'a>(
     config: &TrainConfig,
 ) -> (Executor<'a>, CostEvaluator, f64) {
     assert_eq!(model.n_qubits(), graph.n_nodes(), "model/graph width");
-    let exec = Executor::new(model.backend(), model.layout().to_vec());
+    let exec = model.executor();
     let mut evaluator = CostEvaluator::new(graph);
     if let Some(alpha) = config.cvar_alpha {
         evaluator = evaluator.with_cvar(alpha);
@@ -115,8 +122,8 @@ fn evaluate_probe(
     params: &[f64],
     eval_id: u64,
 ) -> f64 {
-    let program = model.build(params);
-    let counts = exec.sample(&program, config.shots, stream_seed(config.seed, eval_id));
+    let rho = exec.run_exact_replay(&model.exact_tape(exec, params));
+    let counts = exec.sample_state(&rho, config.shots, stream_seed(config.seed, eval_id));
     let logical = model.interpret_counts(&counts);
     // Minimize the negative AR.
     -evaluator.cost(&logical) / c_max
@@ -125,9 +132,9 @@ fn evaluate_probe(
 /// Two-stage (coarse-then-fine) COBYLA minimization over an arbitrary
 /// batch objective — the training loop's optimizer core, factored out
 /// so the same protocol can run over *any* evaluation engine: the local
-/// parallel executor ([`train`] wraps it) or a serving layer
+/// parallel exact-tape objective ([`train`] wraps it) or a serving layer
 /// (`hgp_serve::Daemon::hybrid_expectation_batch` is exactly this
-/// objective shape).
+/// objective shape, bound through the same compiled template).
 ///
 /// Protocol:
 ///
@@ -248,8 +255,7 @@ pub fn train(model: &dyn VqaModel, graph: &Graph, config: &TrainConfig) -> Train
         config.max_evals,
     );
     // Final high-shot evaluation at the best parameters.
-    let program = model.build(&result.x);
-    let rho = exec.run(&program);
+    let rho = exec.run_exact_replay(&model.exact_tape(&exec, &result.x));
     // The final report is stream 0 — distinct from every training probe,
     // which start at stream 1.
     let final_counts = exec.sample_state(&rho, config.final_shots, stream_seed(config.seed, 0));
@@ -412,6 +418,137 @@ mod tests {
         assert_eq!(g1, g2);
         // At a generic point the gradient should not vanish identically.
         assert!(g1.iter().any(|g| g.abs() > 1e-6), "gradient = {g1:?}");
+    }
+
+    fn toronto_hybrid(backend: &Backend) -> HybridModel<'_> {
+        let graph = instances::task1_three_regular_6();
+        HybridModel::new(backend, &graph, 1, vec![1, 2, 3, 4, 5, 7]).unwrap()
+    }
+
+    /// Paper settings (CVaR 0.3 + M3) on a short budget.
+    fn short_paper_config(seed: u64) -> TrainConfig {
+        TrainConfig {
+            max_evals: 6,
+            cvar_alpha: Some(0.3),
+            use_m3: true,
+            seed,
+            ..TrainConfig::default()
+        }
+    }
+
+    #[test]
+    fn hybrid_probe_tape_matches_the_walk() {
+        let backend = Backend::ibmq_toronto();
+        let model = toronto_hybrid(&backend);
+        let exec = model.executor();
+        assert!(
+            std::sync::Arc::ptr_eq(exec.noise_model(), model.compiled().noise_model()),
+            "the training executor shares the compiled noise model"
+        );
+        let mut trimmed = model.initial_params();
+        for (i, p) in trimmed.iter_mut().enumerate() {
+            *p += 0.05 * (i as f64 + 1.0);
+        }
+        let points = [
+            model.initial_params(),
+            trimmed,
+            vec![0.0; model.n_params()],
+            (0..model.n_params())
+                .map(|i| 0.7 - 0.11 * i as f64)
+                .collect(),
+        ];
+        for params in &points {
+            let program = model.build(params);
+            let by_template = exec.run_exact_replay(&model.exact_tape(&exec, params));
+            let by_walk_tape = exec.run_exact_replay(&exec.exact_replay_program(&program));
+            let by_walk = exec.run(&program);
+            for i in 0..by_walk.dim() {
+                for j in 0..by_walk.dim() {
+                    let (t, w) = (by_template.get(i, j), by_walk_tape.get(i, j));
+                    assert_eq!(
+                        (t.re.to_bits(), t.im.to_bits()),
+                        (w.re.to_bits(), w.im.to_bits()),
+                        "template vs walk-compiled tape at rho[{i},{j}], {params:?}"
+                    );
+                    assert!(
+                        (t - by_walk.get(i, j)).norm() <= 1e-12,
+                        "tape vs walk at rho[{i},{j}], {params:?}"
+                    );
+                }
+            }
+        }
+        // The probes took the template path, not the fallback walk.
+        assert!(model.compiled().exact_template().is_some());
+    }
+
+    #[test]
+    fn tape_probes_sample_what_the_walk_samples() {
+        // Drive train()'s own optimizer protocol and probe seeds, and
+        // sample each of the first probes both ways: the tape-replayed
+        // state must draw exactly the counts the walked state draws.
+        const K: usize = 24;
+        let backend = Backend::ibmq_toronto();
+        let graph = instances::task1_three_regular_6();
+        let model = toronto_hybrid(&backend);
+        let config = short_paper_config(1003);
+        let (exec, evaluator, c_max) = objective_setup(&model, &graph, &config);
+        let mut next_id = 1u64;
+        let mut compared = 0usize;
+        let mut objective = |xs: &[Vec<f64>]| -> Vec<f64> {
+            xs.iter()
+                .map(|x| {
+                    let (id, seed) = (next_id, stream_seed(config.seed, next_id));
+                    next_id += 1;
+                    if compared < K {
+                        let rho = exec.run_exact_replay(&model.exact_tape(&exec, x));
+                        assert_eq!(
+                            exec.sample_state(&rho, config.shots, seed),
+                            exec.sample(&model.build(x), config.shots, seed),
+                            "probe {id} at {x:?}"
+                        );
+                        compared += 1;
+                    }
+                    evaluate_probe(&model, &exec, &evaluator, c_max, &config, x, id)
+                })
+                .collect()
+        };
+        let result = minimize_two_stage(
+            &mut objective,
+            &model.initial_param_candidates(),
+            model.coarse_param_ids().as_deref(),
+            config.max_evals,
+        );
+        assert_eq!(compared, K, "the run issued at least {K} probes");
+        // The sequential replay is train()'s probe stream.
+        assert_eq!(result.x, train(&model, &graph, &config).best_params);
+    }
+
+    #[test]
+    fn training_binds_the_compiled_template_and_rerecords_after_a_duration_change() {
+        let backend = Backend::ibmq_toronto();
+        let graph = instances::task1_three_regular_6();
+        let model = toronto_hybrid(&backend);
+        assert!(
+            model.compiled().exact_template().is_none(),
+            "recording is lazy"
+        );
+        train(&model, &graph, &short_paper_config(1003));
+        assert!(
+            model.compiled().exact_template().is_some(),
+            "train() bound the template rather than falling back to the walk"
+        );
+        let shorter = model.with_mixer_duration(128);
+        assert!(shorter.compiled().exact_template().is_none(), "reset");
+        let result = train(&shorter, &graph, &short_paper_config(1003));
+        assert_eq!(result.mixer_duration_dt, 128);
+        assert!(shorter.compiled().exact_template().is_some(), "re-recorded");
+        // The re-recorded template binds the 128 dt schedule.
+        let exec = shorter.executor();
+        let params = &result.best_params;
+        assert_eq!(
+            exec.run_exact_replay(&shorter.exact_tape(&exec, params)),
+            exec.run_exact_replay(&exec.exact_replay_program(&shorter.build(params)))
+        );
     }
 
     #[test]

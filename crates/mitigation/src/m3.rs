@@ -5,9 +5,9 @@
 //! restricts `A` to the observed subspace, normalizes its columns (so
 //! probability leaking *out* of the subspace does not bias the solution),
 //! and solves `A_sub x = p_noisy`. Entries of `A_sub` factor over qubits,
-//! so each is generated on demand from the per-qubit confusion
-//! parameters — no matrix is ever materialized beyond the
-//! `observed x observed` system.
+//! so each is generated from the per-qubit confusion parameters — no
+//! matrix is ever materialized beyond the `observed x observed` system,
+//! which is built once per record and shared by both solvers.
 
 use std::collections::BTreeMap;
 
@@ -115,6 +115,25 @@ impl M3Mitigator {
         p
     }
 
+    /// The column-normalized `observed x observed` system `A_sub`,
+    /// row-major: entry `(i, j)` is `P(observed[i] | observed[j])`
+    /// divided by column `j`'s probability of staying inside the
+    /// subspace (so probability leaking out does not bias the solution).
+    fn subspace_system(&self, observed: &[usize]) -> Vec<f64> {
+        let m = observed.len();
+        let mut a: Vec<f64> = observed
+            .iter()
+            .flat_map(|&row| observed.iter().map(move |&col| self.assignment(row, col)))
+            .collect();
+        let col_norm: Vec<f64> = (0..m).map(|j| (0..m).map(|i| a[i * m + j]).sum()).collect();
+        for row in a.chunks_exact_mut(m) {
+            for (entry, norm) in row.iter_mut().zip(&col_norm) {
+                *entry /= norm;
+            }
+        }
+        a
+    }
+
     /// Mitigates a shot record, returning quasi-probabilities over the
     /// observed bitstrings.
     ///
@@ -122,7 +141,6 @@ impl M3Mitigator {
     ///
     /// Panics if the counts' width disagrees with the calibration or the
     /// record is empty.
-    #[allow(clippy::needless_range_loop)] // dense index iteration over the assignment matrix
     pub fn apply(&self, counts: &Counts) -> QuasiDistribution {
         assert_eq!(counts.n_qubits(), self.qubits.len(), "width mismatch");
         let observed = counts.observed();
@@ -133,13 +151,7 @@ impl M3Mitigator {
             .iter()
             .map(|&b| counts.count(b) as f64 / total)
             .collect();
-        // Column normalizers: probability of staying inside the subspace.
-        let col_norm: Vec<f64> = observed
-            .iter()
-            .map(|&col| observed.iter().map(|&row| self.assignment(row, col)).sum())
-            .collect();
-        let a =
-            |row: usize, col: usize| self.assignment(observed[row], observed[col]) / col_norm[col];
+        let a = self.subspace_system(&observed);
         // Jacobi iteration with diagonal preconditioning; A_sub is
         // strongly diagonally dominant for realistic readout errors.
         let mut x = p_noisy.clone();
@@ -147,14 +159,14 @@ impl M3Mitigator {
         for _ in 0..self.max_iters {
             let mut max_resid = 0.0f64;
             let mut next = vec![0.0; m];
-            for i in 0..m {
+            for (i, row) in a.chunks_exact(m).enumerate() {
                 let mut ax = 0.0;
-                for j in 0..m {
-                    ax += a(i, j) * x[j];
+                for (a_ij, x_j) in row.iter().zip(&x) {
+                    ax += a_ij * x_j;
                 }
                 let resid = p_noisy[i] - ax;
                 max_resid = max_resid.max(resid.abs());
-                next[i] = x[i] + resid / a(i, i);
+                next[i] = x[i] + resid / row[i];
             }
             x = next;
             if max_resid < self.tol {
@@ -164,57 +176,54 @@ impl M3Mitigator {
         }
         if !solved {
             // Direct solve fallback (observed subspaces are small).
-            x = self.direct_solve(&observed, &p_noisy, &col_norm);
+            x = direct_solve(&a, &p_noisy);
         }
         QuasiDistribution {
             n_qubits: self.qubits.len(),
             probs: observed.into_iter().zip(x).collect(),
         }
     }
+}
 
-    #[allow(clippy::needless_range_loop)] // Gaussian elimination indexes two rows at once
-    fn direct_solve(&self, observed: &[usize], p: &[f64], col_norm: &[f64]) -> Vec<f64> {
-        let m = observed.len();
-        let mut a: Vec<Vec<f64>> = (0..m)
-            .map(|i| {
-                (0..m)
-                    .map(|j| self.assignment(observed[i], observed[j]) / col_norm[j])
-                    .collect()
+/// Solves `a x = p` for the row-major `m x m` system `a` by Gaussian
+/// elimination with partial pivoting (M3's fallback when Jacobi does not
+/// converge; observed subspaces are small).
+#[allow(clippy::needless_range_loop)] // Gaussian elimination indexes two rows at once
+fn direct_solve(a: &[f64], p: &[f64]) -> Vec<f64> {
+    let m = p.len();
+    let mut a: Vec<Vec<f64>> = a.chunks_exact(m).map(<[f64]>::to_vec).collect();
+    let mut b = p.to_vec();
+    // Gaussian elimination with partial pivoting.
+    for col in 0..m {
+        let pivot = (col..m)
+            .max_by(|&i, &j| {
+                a[i][col]
+                    .abs()
+                    .partial_cmp(&a[j][col].abs())
+                    .expect("finite")
             })
-            .collect();
-        let mut b = p.to_vec();
-        // Gaussian elimination with partial pivoting.
-        for col in 0..m {
-            let pivot = (col..m)
-                .max_by(|&i, &j| {
-                    a[i][col]
-                        .abs()
-                        .partial_cmp(&a[j][col].abs())
-                        .expect("finite")
-                })
-                .expect("nonempty");
-            a.swap(col, pivot);
-            b.swap(col, pivot);
-            let d = a[col][col];
-            assert!(d.abs() > 1e-14, "assignment matrix is singular");
-            for row in (col + 1)..m {
-                let factor = a[row][col] / d;
-                for k in col..m {
-                    a[row][k] -= factor * a[col][k];
-                }
-                b[row] -= factor * b[col];
+            .expect("nonempty");
+        a.swap(col, pivot);
+        b.swap(col, pivot);
+        let d = a[col][col];
+        assert!(d.abs() > 1e-14, "assignment matrix is singular");
+        for row in (col + 1)..m {
+            let factor = a[row][col] / d;
+            for k in col..m {
+                a[row][k] -= factor * a[col][k];
             }
+            b[row] -= factor * b[col];
         }
-        let mut x = vec![0.0; m];
-        for row in (0..m).rev() {
-            let mut acc = b[row];
-            for k in (row + 1)..m {
-                acc -= a[row][k] * x[k];
-            }
-            x[row] = acc / a[row][row];
-        }
-        x
     }
+    let mut x = vec![0.0; m];
+    for row in (0..m).rev() {
+        let mut acc = b[row];
+        for k in (row + 1)..m {
+            acc -= a[row][k] * x[k];
+        }
+        x[row] = acc / a[row][row];
+    }
+    x
 }
 
 #[cfg(test)]
@@ -334,5 +343,112 @@ mod tests {
         let mut counts = Counts::new(2);
         counts.record(0, 1);
         let _ = m3.apply(&counts);
+    }
+
+    /// A 4-qubit asymmetric calibration and a fixed 9-outcome record:
+    /// the inputs of the bit pins below.
+    fn pinned_inputs() -> (M3Mitigator, Counts) {
+        let m3 = M3Mitigator::new(vec![
+            QubitReadout {
+                p01: 0.021,
+                p10: 0.048,
+            },
+            QubitReadout {
+                p01: 0.013,
+                p10: 0.067,
+            },
+            QubitReadout {
+                p01: 0.034,
+                p10: 0.029,
+            },
+            QubitReadout {
+                p01: 0.009,
+                p10: 0.052,
+            },
+        ]);
+        let mut counts = Counts::new(4);
+        for (bits, n) in [
+            (0b0000, 311),
+            (0b1111, 287),
+            (0b0001, 23),
+            (0b0100, 19),
+            (0b1110, 31),
+            (0b1011, 17),
+            (0b0110, 96),
+            (0b1001, 88),
+            (0b0111, 7),
+        ] {
+            counts.record(bits, n);
+        }
+        (m3, counts)
+    }
+
+    fn bits_of(q: &QuasiDistribution) -> Vec<u64> {
+        q.iter().map(|(_, p)| p.to_bits()).collect()
+    }
+
+    #[test]
+    fn jacobi_output_bits_are_pinned() {
+        // Recorded from the solver that re-derived every assignment
+        // entry on each sweep; the precomputed system must match it bit
+        // for bit.
+        let (m3, counts) = pinned_inputs();
+        assert_eq!(
+            bits_of(&m3.apply(&counts)),
+            [
+                0x3fd7dc270207ff5f,
+                0x3f8c949bd243109a,
+                0x3f56f6756c13e974,
+                0x3fbe7aa349634d90,
+                0xbf8acbf0f5bee7fe,
+                0x3fbb0d5b804e43da,
+                0x3f82f22e660f0328,
+                0x3f93c68962747664,
+                0x3fd7c8a375e4cf05,
+            ]
+        );
+    }
+
+    #[test]
+    fn direct_solve_fallback_bits_are_pinned() {
+        // No Jacobi sweep allowed: the record goes straight to Gaussian
+        // elimination.
+        let (m3, counts) = pinned_inputs();
+        let direct = M3Mitigator { max_iters: 0, ..m3 };
+        assert_eq!(
+            bits_of(&direct.apply(&counts)),
+            [
+                0x3fd7dc2702082632,
+                0x3f8c949bd23ab5a0,
+                0x3f56f6756b4e645e,
+                0x3fbe7aa34963fff2,
+                0xbf8acbf0f5c7878a,
+                0x3fbb0d5b804e68f7,
+                0x3f82f22e660c1c06,
+                0x3f93c6896271b0f9,
+                0x3fd7c8a375e4dbce,
+            ]
+        );
+    }
+
+    #[test]
+    fn direct_solve_agrees_with_jacobi_on_a_well_conditioned_record() {
+        let model = ReadoutModel::uniform(3, 0.01);
+        let mut truth = Counts::new(3);
+        truth.record(0b000, 3_000);
+        truth.record(0b101, 2_000);
+        truth.record(0b111, 5_000);
+        let noisy = model.corrupt_counts(&truth, &mut StdRng::seed_from_u64(7));
+        let jacobi = M3Mitigator::from_readout_model(&model);
+        let direct = M3Mitigator {
+            max_iters: 0,
+            ..jacobi.clone()
+        };
+        let (a, b) = (jacobi.apply(&noisy), direct.apply(&noisy));
+        assert!(a.iter().count() > 3, "readout spreads the record");
+        for ((ba, pa), (bb, pb)) in a.iter().zip(b.iter()) {
+            assert_eq!(ba, bb);
+            assert!((pa - pb).abs() < 1e-12, "{ba:b}: {pa} vs {pb}");
+        }
     }
 }

@@ -6,7 +6,10 @@
 //! circuit encoding): one entry per program *shape*, shared
 //! by every parameter binding of that shape. Circuit and hybrid
 //! gate-pulse artifacts share one LRU budget — a serving host trades
-//! them off against each other like any other shapes. Entries hold
+//! them off against each other like any other shapes. Compilation is
+//! deterministic, so a shape whose compile failed is cached too, as its
+//! typed [`JobError`]: later jobs of it fail alike without compiling
+//! again, and failures count against the same capacity. Entries hold
 //! [`Arc`]s so in-flight jobs keep their program alive even if the
 //! entry is evicted mid-run.
 
@@ -14,6 +17,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use hgp_core::compile::{CompiledCircuit, CompiledProgram};
+
+use crate::JobError;
 
 /// A cached compiled artifact of either program family.
 #[derive(Debug, Clone)]
@@ -46,7 +51,7 @@ impl From<Arc<CompiledProgram>> for CompiledArtifact {
     }
 }
 
-/// A least-recently-used cache of compiled programs.
+/// A least-recently-used cache of compile outcomes.
 ///
 /// Recency is tracked with a logical clock bumped on every access;
 /// eviction scans for the minimum — `O(len)` per eviction, which is
@@ -59,14 +64,15 @@ impl From<Arc<CompiledProgram>> for CompiledArtifact {
 pub struct ProgramCache {
     capacity: usize,
     clock: u64,
-    entries: BTreeMap<u64, (CompiledArtifact, u64)>,
+    entries: BTreeMap<u64, (Result<CompiledArtifact, JobError>, u64)>,
     hits: u64,
     misses: u64,
     evictions: u64,
 }
 
 impl ProgramCache {
-    /// A cache holding at most `capacity` compiled shapes.
+    /// A cache holding at most `capacity` shapes (artifacts and
+    /// failures together).
     ///
     /// # Panics
     ///
@@ -83,14 +89,18 @@ impl ProgramCache {
         }
     }
 
-    /// Looks up a shape, refreshing its recency. Counts a hit or miss.
-    pub fn get(&mut self, key: u64) -> Option<CompiledArtifact> {
+    /// Looks up a shape, refreshing its recency. A cached artifact
+    /// counts a hit and an absent shape a miss; a cached failure counts
+    /// neither (no artifact was served and no compile is owed).
+    pub fn get(&mut self, key: u64) -> Option<Result<CompiledArtifact, JobError>> {
         self.clock += 1;
         match self.entries.get_mut(&key) {
-            Some((compiled, used)) => {
+            Some((outcome, used)) => {
                 *used = self.clock;
-                self.hits += 1;
-                Some(compiled.clone())
+                if outcome.is_ok() {
+                    self.hits += 1;
+                }
+                Some(outcome.clone())
             }
             None => {
                 self.misses += 1;
@@ -103,8 +113,17 @@ impl ProgramCache {
     /// used entry when full. Inserting an existing key refreshes it.
     pub fn insert(&mut self, compiled: impl Into<CompiledArtifact>) {
         let compiled = compiled.into();
+        self.store(compiled.key(), Ok(compiled));
+    }
+
+    /// Caches the failed compile of shape `key`, like
+    /// [`ProgramCache::insert`] caches an artifact.
+    pub fn insert_failure(&mut self, key: u64, error: JobError) {
+        self.store(key, Err(error));
+    }
+
+    fn store(&mut self, key: u64, outcome: Result<CompiledArtifact, JobError>) {
         self.clock += 1;
-        let key = compiled.key();
         if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
             let oldest = self
                 .entries
@@ -115,7 +134,7 @@ impl ProgramCache {
             self.entries.remove(&oldest);
             self.evictions += 1;
         }
-        self.entries.insert(key, (compiled, self.clock));
+        self.entries.insert(key, (outcome, self.clock));
     }
 
     /// Whether a shape is cached (does not refresh recency or count).
@@ -123,7 +142,7 @@ impl ProgramCache {
         self.entries.contains_key(&key)
     }
 
-    /// Cached shapes.
+    /// Cached shapes (artifacts and failures).
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -202,6 +221,28 @@ mod tests {
         assert!(cache.contains(ka));
         assert!(!cache.contains(kb));
         assert!(cache.contains(kc));
+    }
+
+    #[test]
+    fn failures_are_cached_and_evicted_like_artifacts() {
+        let backend = Backend::ideal(2);
+        let mut cache = ProgramCache::new(2);
+        let a = compiled(&backend, 0.1);
+        let ka = a.key();
+        cache.insert(a);
+        cache.insert_failure(7, JobError::compile("bad shape"));
+        assert_eq!(cache.len(), 2);
+        assert_eq!(
+            cache.get(7).expect("cached").map(|_| ()),
+            Err(JobError::compile("bad shape"))
+        );
+        // A cached failure is neither a hit nor a miss.
+        assert_eq!((cache.hits(), cache.misses()), (0, 0));
+        // The failure was used last, so the artifact is evicted first.
+        cache.insert(compiled(&backend, 0.2));
+        assert!(!cache.contains(ka));
+        assert!(cache.contains(7));
+        assert_eq!(cache.evictions(), 1);
     }
 
     #[test]

@@ -891,7 +891,9 @@ fn worker_loop(shared: &Shared) {
 /// single-flight: a worker that misses while another compiles the same
 /// key waits for that compile and takes its outcome (a cache hit, or the
 /// same compile error), so `cache_misses` counts compiles actually run.
-/// The compile runs outside the cache lock. Returns the artifact,
+/// A compile error is cached like an artifact, so a failing shape is
+/// compiled once, not once per job. The compile runs outside the cache
+/// lock. Returns the artifact (or the shape's compile error),
 /// whether it came from the cache, and this worker's compile time.
 fn lookup_or_compile(
     shared: &Shared,
@@ -915,7 +917,10 @@ fn lookup_or_compile(
             continue;
         }
         match cache.programs.get(key) {
-            Some(artifact) => return (Ok(artifact), true, None),
+            Some(outcome) => {
+                let hit = outcome.is_ok();
+                return (outcome, hit, None);
+            }
             None => break,
         }
     }
@@ -961,16 +966,23 @@ impl<'a> CompileFlight<'a> {
 
 impl Drop for CompileFlight<'_> {
     fn drop(&mut self) {
-        let landed = self
-            .landed
-            .take()
-            .unwrap_or_else(|| Err(JobError::compile("compiling this shape panicked")));
         let mut cache = lock(&self.shared.cache);
         // Insert and publish under one lock hold: a waiter that sees
-        // `Ok` is guaranteed to find the artifact cached.
-        let _ = self
-            .outcome
-            .set(landed.map(|artifact| cache.programs.insert(artifact)));
+        // `Ok` is guaranteed to find the artifact cached. A compile
+        // error is deterministic and cached like an artifact; a
+        // panicking compile is not cached, so a later job retries it.
+        let published = match self.landed.take() {
+            Some(Ok(artifact)) => {
+                cache.programs.insert(artifact);
+                Ok(())
+            }
+            Some(Err(error)) => {
+                cache.programs.insert_failure(self.key, error.clone());
+                Err(error)
+            }
+            None => Err(JobError::compile("compiling this shape panicked")),
+        };
+        let _ = self.outcome.set(published);
         cache.compiling.remove(&self.key);
         drop(cache);
         self.shared.compiled.notify_all();

@@ -479,7 +479,8 @@ pub struct JobResult {
     /// Whether this job's compiled program came from the cache: false
     /// exactly for the one job whose worker compiled its shape, for the
     /// jobs of a shape whose compile failed, and for jobs that failed
-    /// validation.
+    /// validation. A failed compile is cached: later jobs of its shape
+    /// get the cached [`JobError`] without compiling and report false.
     pub cache_hit: bool,
     /// Wall-clock execution time of this job on its worker (0 for jobs
     /// rejected at validation).

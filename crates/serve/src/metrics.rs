@@ -28,11 +28,13 @@ pub struct ServeMetrics {
     /// Groups admitted ([`crate::Daemon::submit_group`] calls, including
     /// single-job submits and [`crate::Daemon::run_batch`]).
     pub batches: u64,
-    /// Compiled-program cache hits (shape lookups).
+    /// Compiled-program cache hits (shape lookups that found an
+    /// artifact). A lookup that finds a cached compile failure counts
+    /// neither a hit nor a miss.
     pub cache_hits: u64,
     /// Compiled-program cache misses — the compiles actually run: a
     /// worker that waits on another worker's compile of the same shape
-    /// counts a hit, not a miss.
+    /// counts a hit, not a miss (nothing, if that compile fails).
     pub cache_misses: u64,
     /// Time spent validating requests at admission (per job).
     pub validate_ns: u64,

@@ -582,8 +582,10 @@ fn a_failed_compile_fails_every_job_of_its_shape_alike() {
         assert_eq!(result.error(), Some(&first));
         assert!(!result.cache_hit);
     }
-    assert!((1..=6).contains(&metrics.cache_misses));
-    assert_eq!(metrics.compile_hist.count(), metrics.cache_misses);
+    // Compilation is deterministic: the one failed compile is cached
+    // and answers every later job of the shape.
+    assert_eq!(metrics.cache_misses, 1);
+    assert_eq!(metrics.compile_hist.count(), 1);
     assert_eq!(metrics.cache_hits, 0);
     assert_eq!(metrics.jobs_failed, 6);
 }

@@ -1,8 +1,8 @@
 //! Exact-path superoperator replay: the precompiled density-matrix tape.
 //!
 //! The exact density walk ([`crate::TrajectoryProgram::apply_exact`] over
-//! a [`DensityMatrix`], which is what `Executor::run` drives) is the last
-//! execution path that pays interpretation costs per dispatch: every run
+//! a [`DensityMatrix`], which is what `Executor::run` drives) pays
+//! interpretation costs per dispatch: every run
 //! re-derives each gate's matrix and diagonal, and every noise channel
 //! rebuilds its Kraus set and goes through the generic block kernel —
 //! [`DensityMatrix::apply_kraus`] forms `K·B·K†` for every Kraus
@@ -40,7 +40,9 @@
 //! `ExactSink` schedule walk (`Executor::run`) driving
 //! [`DensityMatrix`], equivalently
 //! [`crate::TrajectoryProgram::apply_exact`] over the recorded program.
-//! Against that reference the tape is
+//! Training probes and exact serving jobs both execute on the tape, so
+//! the walk is the reference oracle for both. Against that reference the
+//! tape is
 //!
 //! - **bit-identical** on fused diagonal runs (same per-entry multiply
 //!   sequence),
